@@ -600,111 +600,6 @@ fn measure_timer_micro(cfg: PerfConfig) -> (MicroPoint, MicroPoint) {
     (before, after)
 }
 
-/// Burst sizes the batch-dispatch microbench sweeps: the degenerate
-/// single-packet burst (pure dispatch parity) through the coalesced bursts
-/// the simulator hands a redirector under many-flow load.
-const BATCH_BURSTS: [(usize, &str, &str); 3] = [
-    (1, "rd_perpkt_b1", "rd_batch_b1"),
-    (8, "rd_perpkt_b8", "rd_batch_b8"),
-    (64, "rd_perpkt_b64", "rd_batch_b64"),
-];
-/// Pinned minimum geometric-mean speedup of
-/// [`RedirectorEngine::process_batch`] over per-packet `process` across
-/// [`BATCH_BURSTS`]: batching must never lose to the loop it replaces.
-const BATCH_MIN_RATIO: f64 = 1.0;
-
-/// Batched vs per-packet redirector dispatch: the same chain-2
-/// fault-tolerant engine is fed the same total packet count, once through
-/// [`RedirectorEngine::process`] per packet and once through
-/// [`RedirectorEngine::process_batch`] per burst (which carries the
-/// within-burst flow memo). Returns `(per_packet, batch)` pairs in
-/// [`BATCH_BURSTS`] order.
-fn measure_batch_micro(cfg: PerfConfig) -> Vec<(MicroPoint, MicroPoint)> {
-    use hydranet_netsim::node::IfaceId;
-    use hydranet_netsim::packet::{IpPacket, Protocol};
-    use hydranet_netsim::routing::Prefix;
-
-    let chain = 2usize;
-    let rd = IpAddr::new(10, 9, 0, 1);
-    let client = IpAddr::new(10, 0, 1, 1);
-    let svc = service();
-    let mut engine = RedirectorEngine::new(rd);
-    let mut hosts = Vec::new();
-    for i in 0..chain {
-        let host = IpAddr::new(10, 0, 2 + i as u8, 1);
-        engine
-            .routes_mut()
-            .add(Prefix::host(host), IfaceId::from_index(i));
-        hosts.push(host);
-    }
-    engine
-        .table_mut()
-        .install(svc, ServiceEntry::FaultTolerant { chain: hosts });
-    let seg = TcpSegment {
-        src_port: 40_000,
-        dst_port: svc.port,
-        seq: SeqNum::new(1),
-        ack: SeqNum::new(0),
-        flags: TcpFlags::ACK,
-        window: 65_000,
-        payload: vec![9u8; RD_PAYLOAD].into(),
-    };
-    let template = IpPacket::new(client, svc.addr, Protocol::TCP, seg.encode());
-    // A multiple of every burst size, so both sides process identical work.
-    let n = (cfg.rd_packets / 64 * 64).max(64);
-    // Wall-clock parity ratios between sub-5ms runs are noise bait on a
-    // shared host; spend extra iterations on this pin.
-    let iters = cfg.iters * 3;
-
-    BATCH_BURSTS
-        .iter()
-        .map(|&(burst, perpkt_name, batch_name)| {
-            // Both sides receive identical pre-assembled bursts — exactly
-            // what the simulator's event coalescing hands a node — and
-            // differ only in dispatch: a per-packet `process` loop vs one
-            // `process_batch` call.
-            let perpkt = micro_point(perpkt_name, iters, n as u64, || {
-                let mut burst_buf: Vec<IpPacket> = Vec::with_capacity(burst);
-                let mut out = Vec::with_capacity(chain * burst);
-                let mut left = n;
-                while left > 0 {
-                    let b = burst.min(left);
-                    burst_buf.extend((0..b).map(|_| template.clone()));
-                    out.clear();
-                    for p in burst_buf.drain(..) {
-                        let _ = engine.process(p, SimTime::ZERO, &mut out);
-                    }
-                    black_box(&out);
-                    left -= b;
-                }
-            });
-            let batch = micro_point(batch_name, iters, n as u64, || {
-                let mut burst_buf: Vec<IpPacket> = Vec::with_capacity(burst);
-                let mut out = Vec::with_capacity(chain * burst);
-                let mut left = n;
-                while left > 0 {
-                    let b = burst.min(left);
-                    burst_buf.extend((0..b).map(|_| template.clone()));
-                    out.clear();
-                    engine.process_batch(&mut burst_buf, SimTime::ZERO, &mut out, |_p| ());
-                    black_box(&out);
-                    left -= b;
-                }
-            });
-            (perpkt, batch)
-        })
-        .collect()
-}
-
-/// Geometric mean of batch-over-per-packet throughput ratios.
-fn batch_geomean(pairs: &[(MicroPoint, MicroPoint)]) -> f64 {
-    let log_sum: f64 = pairs
-        .iter()
-        .map(|(pp, bp)| (bp.ops_per_sec / pp.ops_per_sec).ln())
-        .sum();
-    (log_sum / pairs.len().max(1) as f64).exp()
-}
-
 fn print_micro_points(points: &[MicroPoint]) {
     let header = vec![
         "workload".to_string(),
@@ -1289,7 +1184,7 @@ fn main() {
     println!("\nmany-flow stack microbench ({MICRO_FLOWS} connections):");
     let (demux_before, demux_after) = measure_demux_micro(cfg);
     let (timer_before, timer_after) = measure_timer_micro(cfg);
-    let mut micro_points = vec![
+    let micro_points = vec![
         demux_before.clone(),
         demux_after.clone(),
         timer_before.clone(),
@@ -1308,59 +1203,6 @@ fn main() {
         timer_ratio >= TIMER_MIN_RATIO,
         "timer wheel must stay >= {TIMER_MIN_RATIO}x over full scan at {MICRO_FLOWS} flows, got x{timer_ratio:.2}"
     );
-    println!(
-        "\nredirector batch dispatch (chain 2, {} packets per side):",
-        (cfg.rd_packets / 64 * 64).max(64)
-    );
-    let batch_pairs = measure_batch_micro(cfg);
-    {
-        let flat: Vec<MicroPoint> = batch_pairs
-            .iter()
-            .flat_map(|(pp, bp)| [pp.clone(), bp.clone()])
-            .collect();
-        print_micro_points(&flat);
-        micro_points.extend(flat);
-    }
-    for ((burst, _, _), (pp, bp)) in BATCH_BURSTS.iter().zip(&batch_pairs) {
-        println!(
-            "  burst {burst}: batch x{:.3} over per-packet",
-            bp.ops_per_sec / pp.ops_per_sec
-        );
-    }
-    let mut batch_gm = batch_geomean(&batch_pairs);
-    println!(
-        "  batch over per-packet: geomean x{batch_gm:.3} (pinned >= {BATCH_MIN_RATIO}x under --ratchet)"
-    );
-    if ratchet.is_some() {
-        // Wall-clock parity pin on shared hardware: on a miss, re-measure
-        // and pool the per-side best-of walls across attempts — both sides
-        // converge toward their true minima, where batch does no more work
-        // than the per-packet loop by construction.
-        let mut attempt = 0;
-        let mut pooled = batch_pairs.clone();
-        while batch_gm < BATCH_MIN_RATIO && attempt < 2 {
-            attempt += 1;
-            eprintln!(
-                "batch dispatch geomean x{batch_gm:.3} below {BATCH_MIN_RATIO}, \
-                 re-measuring (retry {attempt}/2)"
-            );
-            for (pair, again) in pooled.iter_mut().zip(measure_batch_micro(cfg)) {
-                if again.0.wall_secs < pair.0.wall_secs {
-                    pair.0 = again.0;
-                }
-                if again.1.wall_secs < pair.1.wall_secs {
-                    pair.1 = again.1;
-                }
-            }
-            batch_gm = batch_geomean(&pooled);
-        }
-        assert!(
-            batch_gm >= BATCH_MIN_RATIO,
-            "process_batch must never lose to per-packet process \
-             (geomean x{batch_gm:.3} < {BATCH_MIN_RATIO}x)"
-        );
-        println!("  batch dispatch pin passed (geomean x{batch_gm:.3})");
-    }
     println!("\nper-subsystem event attribution (fig4 chain-2 transfer):");
     let attribution = measure_attribution(cfg);
     print_attribution(&attribution);
@@ -1583,8 +1425,6 @@ fn main() {
     push_f64(&mut out, demux_ratio);
     out.push_str(", \"timer_wheel_over_fullscan\": ");
     push_f64(&mut out, timer_ratio);
-    out.push_str(", \"rd_batch_over_perpkt_geomean\": ");
-    push_f64(&mut out, batch_gm);
     out.push('}');
     out.push_str(",\n\"event_attribution\": [\n");
     let attr_events: u64 = attribution.iter().map(|(_, s)| s.events).sum();

@@ -10,7 +10,7 @@ use std::any::Any;
 
 use hydranet_obs::{kinds, Obs};
 
-use crate::event::{Event, EventKind, EventQueue};
+use crate::event::{EventKind, EventQueue};
 use crate::frag::fragment_packet;
 use crate::hash::{IntMap, IntSet};
 use crate::link::{Direction, Impairments, Link, LinkId};
@@ -95,8 +95,6 @@ pub struct Simulator {
     profiler: EventProfiler,
     obs: Obs,
     actions_scratch: Vec<Action>,
-    /// Reused backing for burst dispatch (see [`Node::on_packet_batch`]).
-    batch_scratch: Vec<IpPacket>,
 }
 
 impl std::fmt::Debug for Simulator {
@@ -126,7 +124,6 @@ impl Simulator {
             profiler: EventProfiler::default(),
             obs: Obs::disabled(),
             actions_scratch: Vec::new(),
-            batch_scratch: Vec::new(),
         };
         for i in 0..sim.nodes.len() {
             sim.events
@@ -220,84 +217,14 @@ impl Simulator {
 
     /// Processes all events with timestamps `<= deadline`, then sets the
     /// clock to `deadline`.
-    ///
-    /// When neither the trace ring nor the profiler is active, runs of
-    /// same-instant `PacketDispatch` events that share a node, interface,
-    /// and crash epoch are coalesced into one [`Node::on_packet_batch`]
-    /// call. This is schedule-invisible: no simulator state (clock, RNG,
-    /// calendar order, counters) is touched between same-instant
-    /// dispatches to one node, the batched callbacks buffer actions in
-    /// the identical order, and collection stops at the first
-    /// non-matching event — so crashes, timers, and epoch bumps still
-    /// interleave exactly as in the sequential engine. The trace/profiler
-    /// gate exists because both record per-event artifacts whose relative
-    /// order against a node's enqueue records would otherwise shift.
     pub fn run_until(&mut self, deadline: SimTime) {
         // Single peek-and-pop per event instead of peek_time + step's
         // separate pop — this loop is the hot path of every benchmark.
-        // `carry` holds the first event popped past the end of a burst.
-        let mut carry: Option<Event> = None;
-        loop {
-            let ev = match carry.take() {
-                Some(ev) => ev,
-                None => match self.events.pop_if_at_or_before(deadline) {
-                    Some(ev) => ev,
-                    None => break,
-                },
-            };
+        while let Some(ev) = self.events.pop_if_at_or_before(deadline) {
             debug_assert!(ev.time >= self.now, "time went backwards");
             self.now = ev.time;
             self.stats.events_processed += 1;
-            if self.profiler.enabled() || self.trace.is_enabled() {
-                self.process_attributed(ev.kind);
-                continue;
-            }
-            let EventKind::PacketDispatch {
-                node,
-                iface,
-                packet,
-                epoch,
-            } = ev.kind
-            else {
-                self.process(ev.kind);
-                continue;
-            };
-            let slot = &self.nodes[node.index()];
-            if slot.crashed || slot.epoch != epoch {
-                continue; // trace disabled: CrashDrop record is a no-op
-            }
-            let mut batch = std::mem::take(&mut self.batch_scratch);
-            batch.push(packet);
-            // Pull the rest of the same-instant run for this (node,
-            // iface, epoch). Nothing between matching dispatches is
-            // processed, so the liveness check above covers them all.
-            while let Some(next) = self.events.pop_if_at_or_before(self.now) {
-                match next.kind {
-                    EventKind::PacketDispatch {
-                        node: n,
-                        iface: i,
-                        packet: p,
-                        epoch: e,
-                    } if n == node && i == iface && e == epoch => {
-                        self.stats.events_processed += 1;
-                        batch.push(p);
-                    }
-                    _ => {
-                        carry = Some(next);
-                        break;
-                    }
-                }
-            }
-            if batch.len() == 1 {
-                let p = batch.pop().expect("batch holds one packet");
-                self.dispatch(node, |n, ctx| n.on_packet(ctx, IfaceId(iface), p));
-            } else {
-                self.dispatch(node, |n, ctx| {
-                    n.on_packet_batch(ctx, IfaceId(iface), &mut batch)
-                });
-            }
-            batch.clear();
-            self.batch_scratch = batch;
+            self.process_attributed(ev.kind);
         }
         if self.now < deadline {
             self.now = deadline;

@@ -23,7 +23,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod flow;
 pub mod redirector;
 pub mod table;
 pub mod tunnel;

@@ -12,6 +12,7 @@
 use std::rc::Rc;
 
 use hydranet_netsim::frag::Reassembler;
+use hydranet_netsim::hash::IntMap;
 use hydranet_netsim::node::{Context, IfaceId, Node};
 use hydranet_netsim::packet::{FragInfo, IpAddr, IpHeader, IpPacket, Protocol, DEFAULT_TTL};
 use hydranet_netsim::routing::RouteTable;
@@ -20,7 +21,6 @@ use hydranet_obs::metrics::Counter;
 use hydranet_obs::Obs;
 use hydranet_tcp::segment::SockAddr;
 
-use crate::flow::FlowTable;
 use crate::table::{RedirectorTable, ServiceEntry};
 
 /// Counters kept by a redirector.
@@ -44,33 +44,23 @@ pub struct RedirectorStats {
     pub syn_deferred: u64,
 }
 
-/// One resolved redirection decision, cached per flow quad in the engine's
-/// [`FlowTable`]. Everything per-*flow* is precomputed — the routed target
-/// set and, per target, the outer IP-in-IP header template — so committing
-/// a cached action per *packet* is: stats, one inner encode, and one
-/// header-id patch per copy.
+/// One resolved redirection decision for a matched service access point,
+/// cached per SAP in the engine. Everything per-*service* is precomputed —
+/// the routed target set and, per target, the outer IP-in-IP header
+/// template — so committing a cached action per *packet* is: stats, one
+/// inner encode, and one header-id patch per copy.
 #[derive(Debug, Clone)]
-enum CachedAction {
-    /// The table matched: tunnel one encapsulated copy per routed target.
-    Tunnel {
-        /// Fault-tolerant entry (multicast fan-out; SYN-admission gated).
-        ft: bool,
-        /// Chain members with no route at resolution time, charged to
-        /// `dropped_no_route` per packet — same accounting as the
-        /// uncached walk keeps through [`FtTargets::unroutable`].
-        ///
-        /// [`FtTargets::unroutable`]: crate::table::FtTargets::unroutable
-        drops: u32,
-        /// `(egress, chain host, outer header template)` per routed
-        /// target, in delivery order. The template is everything
-        /// [`encapsulate_buf`](crate::tunnel::encapsulate_buf) computes
-        /// except the per-packet id.
-        outs: Rc<[(IfaceId, IpAddr, IpHeader)]>,
-    },
-    /// No table match: plain routed forward out of this interface.
-    Forward(IfaceId),
-    /// No table match and no route: count the drop.
-    NoRoute,
+struct CachedAction {
+    /// Fault-tolerant entry (multicast fan-out; SYN-admission gated).
+    ft: bool,
+    /// Targets with no route at resolution time, charged to
+    /// `dropped_no_route` per packet.
+    drops: u32,
+    /// `(egress, chain host, outer header template)` per routed target, in
+    /// delivery order. The template is everything
+    /// [`encapsulate_buf`](crate::tunnel::encapsulate_buf) computes except
+    /// the per-packet id.
+    outs: Rc<[(IfaceId, IpAddr, IpHeader)]>,
 }
 
 /// What [`RedirectorEngine::process`] decided about a packet.
@@ -100,13 +90,18 @@ pub struct RedirectorEngine {
     /// reassembled packets — the redirector is a middlebox with per-flow
     /// reassembly state, like any port-matching router.
     reassembler: Reassembler,
-    /// Per-flow resolved actions, stamped with the table generation (see
-    /// [`RedirectorTable::generation`]): the steady-state TCP path is one
-    /// flat-table probe instead of a table lookup plus target resolution.
-    flows: FlowTable<CachedAction>,
+    /// Resolved actions of matched service access points, keyed by
+    /// [`pack_sap`]. Only table matches are cached, so the map never
+    /// outgrows the redirector table. Valid for table generation
+    /// `actions_gen` (see [`RedirectorTable::generation`]); any other
+    /// generation clears it.
+    actions: IntMap<u64, CachedAction>,
+    actions_gen: u64,
     c_redirected: Counter,
     c_copies: Counter,
     c_forwarded: Counter,
+    c_cache_hits: Counter,
+    c_cache_misses: Counter,
     /// Telemetry handle kept for causal fan-out spans; the default
     /// (disabled) handle makes every span site a no-op flag check.
     obs: Obs,
@@ -130,10 +125,13 @@ impl RedirectorEngine {
             table: RedirectorTable::new(),
             stats: RedirectorStats::default(),
             reassembler: Reassembler::new(),
-            flows: FlowTable::new(),
+            actions: IntMap::default(),
+            actions_gen: 0,
             c_redirected: Counter::default(),
             c_copies: Counter::default(),
             c_forwarded: Counter::default(),
+            c_cache_hits: Counter::default(),
+            c_cache_misses: Counter::default(),
             obs: Obs::default(),
             fanout_seq: 0,
             admit_new_flows_after: None,
@@ -141,12 +139,17 @@ impl RedirectorEngine {
     }
 
     /// Wires hot-path counters under `redirect.engine.<addr>.*` and the
-    /// embedded table's metrics under `redirect.table.<addr>.*`.
+    /// embedded table's metrics under `redirect.table.<addr>.*`. The
+    /// resolution cache reports there too: `target_cache_hits` counts
+    /// packets served from it, `target_cache_misses` counts resolutions.
     pub fn set_obs(&mut self, obs: &Obs) {
         let scope = format!("redirect.engine.{}", self.addr);
         self.c_redirected = obs.counter(&format!("{scope}.redirected"));
         self.c_copies = obs.counter(&format!("{scope}.copies"));
         self.c_forwarded = obs.counter(&format!("{scope}.forwarded"));
+        let table_scope = format!("redirect.table.{}", self.addr);
+        self.c_cache_hits = obs.counter(&format!("{table_scope}.target_cache_hits"));
+        self.c_cache_misses = obs.counter(&format!("{table_scope}.target_cache_misses"));
         self.table.set_obs(obs, &self.addr.to_string());
         self.obs = obs.clone();
     }
@@ -184,10 +187,11 @@ impl RedirectorEngine {
         &self.routes
     }
 
-    /// The routing table, mutable. Conservatively drops the table's
-    /// memoized scaled targets: a route change can change which replica is
-    /// nearest-routable, and the borrow rules guarantee any mutation through
-    /// the returned reference completes before the next packet is processed.
+    /// The routing table, mutable. Conservatively bumps the table
+    /// generation, dropping every cached resolution: a route change can
+    /// change which replica is nearest-routable, and the borrow rules
+    /// guarantee any mutation through the returned reference completes
+    /// before the next packet is processed.
     pub fn routes_mut(&mut self) -> &mut RouteTable {
         self.table.invalidate_targets();
         &mut self.routes
@@ -225,42 +229,6 @@ impl RedirectorEngine {
         now: SimTime,
         out: &mut Vec<(IfaceId, IpPacket)>,
     ) -> Disposition {
-        self.process_inner(packet, now, out, &mut None)
-    }
-
-    /// Processes a burst of packets delivered at one instant, pushing any
-    /// transmissions into `out` in arrival order. Exactly equivalent to
-    /// calling [`process`](Self::process) per packet — the batch entry
-    /// point exists so burst callers amortize flow-table work: a
-    /// within-burst memo serves back-to-back same-flow packets (the common
-    /// shape of a burst) without even the flow-cache probe. The memo is
-    /// sound because nothing inside batch processing can touch the
-    /// redirector or routing tables, so a flow's resolved action cannot go
-    /// stale mid-burst. Packets addressed to the redirector itself are
-    /// handed to `local`.
-    pub fn process_batch(
-        &mut self,
-        packets: &mut Vec<IpPacket>,
-        now: SimTime,
-        out: &mut Vec<(IfaceId, IpPacket)>,
-        mut local: impl FnMut(IpPacket),
-    ) {
-        let mut memo = None;
-        for packet in packets.drain(..) {
-            match self.process_inner(packet, now, out, &mut memo) {
-                Disposition::Handled => {}
-                Disposition::Local(p) => local(p),
-            }
-        }
-    }
-
-    fn process_inner(
-        &mut self,
-        packet: IpPacket,
-        now: SimTime,
-        out: &mut Vec<(IfaceId, IpPacket)>,
-        memo: &mut Option<(u128, CachedAction)>,
-    ) -> Disposition {
         if packet.dst() == self.addr || self.virtual_addr == Some(packet.dst()) {
             self.stats.local += 1;
             return Disposition::Local(packet);
@@ -283,24 +251,38 @@ impl RedirectorEngine {
             } else {
                 packet
             };
-            return self.process_tcp(whole, now, out, memo);
+            return self.process_tcp(whole, now, out);
         }
 
         self.forward_plain(packet, out);
         Disposition::Handled
     }
 
-    /// The TCP redirection path over a whole (reassembled) packet: probe
-    /// the within-burst memo, then the per-flow action cache, fall back to
-    /// full resolution on a miss (or a stale generation), and commit the
-    /// action. A memo hit is exactly a flow-cache hit replayed for the key
-    /// resolved earlier in the same burst.
+    /// Processes a burst of packets delivered at one instant, in arrival
+    /// order — exactly [`process`](Self::process) per packet. Packets
+    /// addressed to the redirector itself are handed to `local`.
+    pub fn process_batch(
+        &mut self,
+        packets: &mut Vec<IpPacket>,
+        now: SimTime,
+        out: &mut Vec<(IfaceId, IpPacket)>,
+        mut local: impl FnMut(IpPacket),
+    ) {
+        for packet in packets.drain(..) {
+            if let Disposition::Local(p) = self.process(packet, now, out) {
+                local(p);
+            }
+        }
+    }
+
+    /// The TCP redirection path over a whole (reassembled) packet: serve
+    /// the service access point's cached action, or resolve it from the
+    /// tables on a miss, then commit it. Unmatched packets are routed.
     fn process_tcp(
         &mut self,
         whole: IpPacket,
         now: SimTime,
         out: &mut Vec<(IfaceId, IpPacket)>,
-        memo: &mut Option<(u128, CachedAction)>,
     ) -> Disposition {
         let Some(port) = peek_tcp_dst_port(&whole.payload) else {
             // Too short to carry ports: routed like any non-TCP packet.
@@ -308,38 +290,31 @@ impl RedirectorEngine {
             return Disposition::Handled;
         };
         let sap = SockAddr::new(whole.dst(), port);
-        let key = pack_quad(&whole, port);
-        let (cached, from_memo) = match memo {
-            Some((k, act)) if *k == key => (Some(act.clone()), true),
-            _ => (self.flows.get(self.table.generation(), key).cloned(), false),
-        };
-        if let Some(act) = cached {
-            if let CachedAction::Tunnel { ft, .. } = &act {
-                if *ft && self.defer_syn(&whole, now) {
+        if self.actions_gen != self.table.generation() {
+            self.actions.clear();
+            self.actions_gen = self.table.generation();
+        }
+        let key = pack_sap(sap);
+        let (act, hit) = match self.actions.get(&key) {
+            Some(act) => (act.clone(), true),
+            None => match self.resolve(sap) {
+                Some(act) => (act, false),
+                None => {
+                    self.forward_plain(whole, out);
                     return Disposition::Handled;
                 }
-                // A served flow-cache hit stands in for the memoized-target
-                // hit the uncached walk would have counted.
-                self.table.note_target_cache_hit();
-            }
-            if !from_memo {
-                *memo = Some((key, act.clone()));
-            }
-            return self.commit(sap, act, whole, now, out);
-        }
-        // Miss: the admission gate is checked before any resolution (the
-        // deferred SYN must not warm any cache), then the resolved action
-        // is cached for the flow and committed.
-        if matches!(
-            self.table.lookup(sap),
-            Some(ServiceEntry::FaultTolerant { .. })
-        ) && self.defer_syn(&whole, now)
-        {
+            },
+        };
+        // A deferred SYN is neither served nor cached.
+        if act.ft && self.defer_syn(&whole, now) {
             return Disposition::Handled;
         }
-        let act = self.resolve_action(sap);
-        self.flows.insert(self.table.generation(), key, act.clone());
-        *memo = Some((key, act.clone()));
+        if hit {
+            self.c_cache_hits.inc();
+        } else {
+            self.c_cache_misses.inc();
+            self.actions.insert(key, act.clone());
+        }
         self.commit(sap, act, whole, now, out)
     }
 
@@ -359,57 +334,35 @@ impl RedirectorEngine {
     }
 
     /// Resolves the redirection action for a service access point from the
-    /// redirector and routing tables — the once-per-(flow, generation)
-    /// slow path behind the flow cache.
-    fn resolve_action(&self, sap: SockAddr) -> CachedAction {
+    /// redirector and routing tables, or `None` when the table has no entry
+    /// — the once-per-(service, generation) slow path behind the cache.
+    fn resolve(&self, sap: SockAddr) -> Option<CachedAction> {
         let routes = &self.routes;
-        match self.table.lookup(sap) {
-            Some(ServiceEntry::Scaled { replicas }) => {
-                // Memoized nearest-routable pick: the min-metric scan and
-                // its routing lookups run once per (table, routes)
-                // generation, not per flow.
-                let mut outs = Vec::new();
-                let mut drops = 0;
+        let (ft, drops, routed) = match self.table.lookup(sap)? {
+            ServiceEntry::Scaled { replicas } => {
                 match self.table.scaled_target(sap, |host| routes.lookup(host)) {
-                    Some((host, iface)) => outs.push((iface, host, self.outer_header(host))),
-                    None if replicas.is_empty() => {}
-                    None => drops = 1,
-                }
-                CachedAction::Tunnel {
-                    ft: false,
-                    drops,
-                    outs: outs.into(),
+                    Some((host, iface)) => (false, 0, vec![(iface, host)]),
+                    None => (false, u32::from(!replicas.is_empty()), Vec::new()),
                 }
             }
-            Some(ServiceEntry::FaultTolerant { .. }) => {
-                // Memoized routed fan-out: the per-chain-member routing
-                // lookups run once per (table, routes) generation.
-                // `unroutable` keeps the per-packet drop accounting exact.
-                let targets = self
+            ServiceEntry::FaultTolerant { .. } => {
+                let (routed, unroutable) = self
                     .table
                     .ft_targets(sap, |host| routes.lookup(host))
                     .expect("entry is fault-tolerant");
-                let outs: Vec<_> = targets
-                    .routed
-                    .iter()
-                    .map(|&(iface, host)| (iface, host, self.outer_header(host)))
-                    .collect();
-                CachedAction::Tunnel {
-                    ft: true,
-                    drops: targets.unroutable,
-                    outs: outs.into(),
-                }
+                (true, unroutable, routed)
             }
-            None => match routes.lookup(sap.addr) {
-                Some(iface) => CachedAction::Forward(iface),
-                None => CachedAction::NoRoute,
-            },
-        }
+        };
+        let outs = routed
+            .into_iter()
+            .map(|(iface, host)| (iface, host, self.outer_header(host)))
+            .collect();
+        Some(CachedAction { ft, drops, outs })
     }
 
     /// The outer header of a tunnelled copy to `host`: everything
     /// [`encapsulate_buf`](crate::tunnel::encapsulate_buf) computes except
-    /// the per-packet id, prebuilt at flow-resolution time.
+    /// the per-packet id, prebuilt at resolution time.
     fn outer_header(&self, host: IpAddr) -> IpHeader {
         IpHeader {
             src: self.addr,
@@ -421,11 +374,11 @@ impl RedirectorEngine {
         }
     }
 
-    /// Commits a resolved action for one packet: stats, then (for tunnel
-    /// actions) encode the inner packet ONCE — each tunnelled copy is an
-    /// O(1) handle onto the same bytes, the last routable chain member
-    /// takes the buffer by move, and each copy's outer header is the
-    /// flow's precomputed template with the id patched in.
+    /// Commits a resolved action for one packet: stats, then encode the
+    /// inner packet ONCE — each tunnelled copy is an O(1) handle onto the
+    /// same bytes, the last routable target takes the buffer by move, and
+    /// each copy's outer header is the service's precomputed template with
+    /// the id patched in.
     fn commit(
         &mut self,
         sap: SockAddr,
@@ -434,55 +387,42 @@ impl RedirectorEngine {
         now: SimTime,
         out: &mut Vec<(IfaceId, IpPacket)>,
     ) -> Disposition {
-        match act {
-            CachedAction::Tunnel { ft, drops, outs } => {
-                self.stats.redirected += 1;
-                self.c_redirected.inc();
-                self.stats.dropped_no_route += u64::from(drops);
-                if let Some(((last_iface, _, last_tpl), rest)) = outs.split_last() {
-                    let inner_id = whole.header.id;
-                    let encoded = whole.encode();
-                    if ft {
-                        self.span_fanout(sap, &outs, encoded.lineage(), now);
-                    }
-                    for (iface, _, tpl) in rest {
-                        self.stats.copies += 1;
-                        self.c_copies.inc();
-                        let mut header = tpl.clone();
-                        header.id = inner_id;
-                        out.push((
-                            *iface,
-                            IpPacket {
-                                header,
-                                payload: encoded.clone(),
-                            },
-                        ));
-                    }
-                    self.stats.copies += 1;
-                    self.c_copies.inc();
-                    let mut header = last_tpl.clone();
-                    header.id = inner_id;
-                    out.push((
-                        *last_iface,
-                        IpPacket {
-                            header,
-                            payload: encoded,
-                        },
-                    ));
-                }
-                Disposition::Handled
-            }
-            CachedAction::Forward(iface) => {
-                self.stats.forwarded += 1;
-                self.c_forwarded.inc();
-                out.push((iface, whole));
-                Disposition::Handled
-            }
-            CachedAction::NoRoute => {
-                self.stats.dropped_no_route += 1;
-                Disposition::Handled
-            }
+        self.stats.redirected += 1;
+        self.c_redirected.inc();
+        self.stats.dropped_no_route += u64::from(act.drops);
+        let Some(((last_iface, _, last_tpl), rest)) = act.outs.split_last() else {
+            return Disposition::Handled;
+        };
+        let inner_id = whole.header.id;
+        let encoded = whole.encode();
+        if act.ft {
+            self.span_fanout(sap, &act.outs, encoded.lineage(), now);
         }
+        for (iface, _, tpl) in rest {
+            self.stats.copies += 1;
+            self.c_copies.inc();
+            let mut header = tpl.clone();
+            header.id = inner_id;
+            out.push((
+                *iface,
+                IpPacket {
+                    header,
+                    payload: encoded.clone(),
+                },
+            ));
+        }
+        self.stats.copies += 1;
+        self.c_copies.inc();
+        let mut header = last_tpl.clone();
+        header.id = inner_id;
+        out.push((
+            *last_iface,
+            IpPacket {
+                header,
+                payload: encoded,
+            },
+        ));
+        Disposition::Handled
     }
 
     /// Plain routed forward for packets redirection has no opinion about.
@@ -526,17 +466,10 @@ impl RedirectorEngine {
     }
 }
 
-/// Packs a whole TCP packet's connection quad into one `u128` flow-cache
-/// key: `src_addr (32) | src_port (16) | dst_addr (32) | dst_port (16)` —
-/// the same flat packed-quad scheme as the TCP stack's demux. The caller
-/// has already peeked `dst_port`, which guarantees the payload holds the
-/// source port too.
-fn pack_quad(whole: &IpPacket, dst_port: u16) -> u128 {
-    let src_port = u16::from_be_bytes([whole.payload[0], whole.payload[1]]);
-    (whole.src().to_bits() as u128) << 64
-        | (src_port as u128) << 48
-        | (whole.dst().to_bits() as u128) << 16
-        | dst_port as u128
+/// Packs a service access point into one `u64` cache key:
+/// `addr (32) | port (16)`.
+fn pack_sap(sap: SockAddr) -> u64 {
+    u64::from(sap.addr.to_bits()) << 16 | u64::from(sap.port)
 }
 
 /// Reads the TCP destination port from an (unfragmented) TCP payload.
@@ -590,22 +523,6 @@ impl Node for RedirectorNode {
     fn on_packet(&mut self, ctx: &mut Context<'_>, _iface: IfaceId, packet: IpPacket) {
         let mut out = std::mem::take(&mut self.out_scratch);
         let _ = self.engine.process(packet, ctx.now(), &mut out);
-        for (iface, p) in out.drain(..) {
-            ctx.send(iface, p);
-        }
-        self.out_scratch = out;
-    }
-
-    fn on_packet_batch(
-        &mut self,
-        ctx: &mut Context<'_>,
-        _iface: IfaceId,
-        packets: &mut Vec<IpPacket>,
-    ) {
-        let mut out = std::mem::take(&mut self.out_scratch);
-        // Local packets are management traffic the standalone node drops.
-        self.engine
-            .process_batch(packets, ctx.now(), &mut out, |_p| ());
         for (iface, p) in out.drain(..) {
             ctx.send(iface, p);
         }
@@ -788,6 +705,66 @@ mod tests {
         e.process(tcp_packet(80, 100), SimTime::ZERO, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, IfaceId::from_index(2)); // H2 only
+    }
+
+    #[test]
+    fn new_term_update_re_resolves_ft_fanout() {
+        let obs = Obs::enabled();
+        let mut e = engine();
+        e.set_obs(&obs);
+        let misses = obs.counter(&format!("redirect.table.{RD}.target_cache_misses"));
+        let hits = obs.counter(&format!("redirect.table.{RD}.target_cache_hits"));
+        e.table_mut().install(
+            SockAddr::new(SERVICE, 80),
+            ServiceEntry::FaultTolerant {
+                chain: vec![H1, H2],
+            },
+        );
+        let mut out = Vec::new();
+        e.process(tcp_packet(80, 100), SimTime::ZERO, &mut out);
+        assert_eq!((misses.get(), hits.get()), (1, 0));
+        // A replicated update in a NEW term that changes no entry (removing
+        // an absent service) still invalidates the cached fan-out…
+        let other = SockAddr::new(SERVICE, 443);
+        assert!(e.table_mut().apply_epoch_update(1, 1, other, None));
+        e.process(tcp_packet(80, 100), SimTime::ZERO, &mut out);
+        assert_eq!((misses.get(), hits.get()), (2, 0));
+        // …while a same-term no-op leaves it in place.
+        assert!(e.table_mut().apply_epoch_update(1, 2, other, None));
+        e.process(tcp_packet(80, 100), SimTime::ZERO, &mut out);
+        assert_eq!((misses.get(), hits.get()), (2, 1));
+        assert_eq!(out.len(), 6);
+    }
+
+    #[test]
+    fn every_flow_of_a_service_shares_one_resolution() {
+        let obs = Obs::enabled();
+        let mut e = engine();
+        e.set_obs(&obs);
+        e.table_mut().install(
+            SockAddr::new(SERVICE, 80),
+            ServiceEntry::FaultTolerant {
+                chain: vec![H1, H2],
+            },
+        );
+        let mut out = Vec::new();
+        for k in 0..10_000u16 {
+            let seg = TcpSegment {
+                src_port: 1024 + k,
+                dst_port: 80,
+                seq: SeqNum::new(1),
+                ack: SeqNum::new(0),
+                flags: TcpFlags::ACK,
+                window: 1000,
+                payload: Vec::new().into(),
+            };
+            let p = IpPacket::new(CLIENT, SERVICE, Protocol::TCP, seg.encode());
+            e.process(p, SimTime::ZERO, &mut out);
+        }
+        assert_eq!(out.len(), 20_000);
+        let counter = |name: &str| obs.counter(&format!("redirect.table.{RD}.{name}")).get();
+        assert_eq!(counter("target_cache_misses"), 1);
+        assert_eq!(counter("target_cache_hits"), 9_999);
     }
 
     #[test]

@@ -7,9 +7,7 @@
 //! the entry holds the whole replica chain: "the redirector maintains the
 //! location of the primary server and of all the backup servers" (§4.2).
 
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 
 use hydranet_netsim::node::IfaceId;
 use hydranet_netsim::packet::IpAddr;
@@ -44,44 +42,19 @@ pub enum ServiceEntry {
 }
 
 impl ServiceEntry {
-    /// All host addresses a matching packet must be delivered to.
+    /// All host addresses a matching packet must be delivered to, in
+    /// delivery order (routing aside).
     pub fn targets(&self) -> Vec<IpAddr> {
-        let mut out = Vec::new();
-        self.for_each_target(|host| out.push(host));
-        out
-    }
-
-    /// Visits each host address a matching packet must be delivered to, in
-    /// delivery order — the allocation-free form of [`targets`] used on the
-    /// redirector's per-packet fast path.
-    ///
-    /// [`targets`]: Self::targets
-    pub fn for_each_target(&self, mut f: impl FnMut(IpAddr)) {
         match self {
-            ServiceEntry::Scaled { replicas } => {
-                if let Some(r) = replicas.iter().min_by_key(|r| r.metric) {
-                    f(r.host);
-                }
-            }
-            ServiceEntry::FaultTolerant { chain } => {
-                for &host in chain {
-                    f(host);
-                }
-            }
+            ServiceEntry::Scaled { replicas } => replicas
+                .iter()
+                .min_by_key(|r| r.metric)
+                .map(|r| r.host)
+                .into_iter()
+                .collect(),
+            ServiceEntry::FaultTolerant { chain } => chain.clone(),
         }
     }
-}
-
-/// A fault-tolerant chain resolved against the routing table: the
-/// multicast fan-out in delivery order, plus how many chain members had no
-/// route (so the caller can keep per-packet drop accounting exact even
-/// though the resolution itself is memoized).
-#[derive(Debug, Default, PartialEq, Eq)]
-pub struct FtTargets {
-    /// Resolved `(egress interface, host)` pairs in chain order.
-    pub routed: Vec<(IfaceId, IpAddr)>,
-    /// Chain members with no route at resolution time.
-    pub unroutable: u32,
 }
 
 /// Maps service access points to their redirection entries.
@@ -103,34 +76,19 @@ pub struct FtTargets {
 #[derive(Debug, Clone, Default)]
 pub struct RedirectorTable {
     entries: HashMap<SockAddr, ServiceEntry>,
-    /// Memoized nearest-routable pick per scaled service, filled lazily by
-    /// [`scaled_target`](Self::scaled_target) so the per-packet fast path
-    /// skips the `min_by_key` scan and routing lookups. `None` records "no
-    /// routable replica" (also worth caching — the scan is the expensive
-    /// part either way). Every table mutation drops the affected entry;
-    /// routing changes must call [`invalidate_targets`](Self::invalidate_targets).
-    target_cache: RefCell<HashMap<SockAddr, Option<(IpAddr, IfaceId)>>>,
-    /// Memoized routed fan-out per fault-tolerant service, the FT analogue
-    /// of `target_cache`: one routing lookup per chain member per *(table,
-    /// routes)* generation instead of per packet. `Rc` so the per-packet
-    /// fast path hands back a handle without cloning the vector. Same
-    /// invalidation discipline as `target_cache`.
-    ft_cache: RefCell<HashMap<SockAddr, Rc<FtTargets>>>,
     /// Table epoch `(term, seq)` of the last accepted replicated update.
     /// `term` bumps on redirector promotion; an update from an older term
     /// is a partitioned ex-active talking and must be rejected.
     epoch: (u32, u64),
     /// Monotonic counter bumped by anything that could change how a packet
     /// resolves: installs, removes, chain edits, and target invalidation
-    /// (which route changes are required to signal). The engine's per-flow
-    /// action cache stamps entries with this and treats a mismatch as a
-    /// miss — the flow-granular face of the same staleness discipline the
-    /// epoch guard enforces for replicated updates.
+    /// (which route changes are required to signal). The engine's
+    /// resolution cache is valid for one generation and cleared when it
+    /// moves — the same staleness discipline the epoch guard enforces for
+    /// replicated updates.
     generation: u64,
     c_installs: Counter,
     c_removes: Counter,
-    c_cache_hits: Counter,
-    c_cache_misses: Counter,
     c_stale: Counter,
     g_entries: Gauge,
 }
@@ -146,8 +104,6 @@ impl RedirectorTable {
     pub fn set_obs(&mut self, obs: &Obs, scope: &str) {
         self.c_installs = obs.counter(&format!("redirect.table.{scope}.installs"));
         self.c_removes = obs.counter(&format!("redirect.table.{scope}.removes"));
-        self.c_cache_hits = obs.counter(&format!("redirect.table.{scope}.target_cache_hits"));
-        self.c_cache_misses = obs.counter(&format!("redirect.table.{scope}.target_cache_misses"));
         self.c_stale = obs.counter(&format!("redirect.table.{scope}.stale_rejected"));
         self.g_entries = obs.gauge(&format!("redirect.table.{scope}.entries"));
         self.g_entries.set(self.entries.len() as f64);
@@ -159,15 +115,9 @@ impl RedirectorTable {
     }
 
     /// The table's resolution generation: changes whenever cached
-    /// resolutions (memoized targets, per-flow actions) may be stale.
+    /// resolutions may be stale.
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// Mirrors the memoized-target cache-hit count for a hit served one
-    /// level up, from the engine's per-flow action cache.
-    pub(crate) fn note_target_cache_hit(&self) {
-        self.c_cache_hits.inc();
     }
 
     /// Applies a replicated table update stamped with epoch `(term, seq)`:
@@ -175,9 +125,10 @@ impl RedirectorTable {
     /// update is stale — strictly older than the last accepted epoch — in
     /// which case nothing changes and `false` is returned.
     ///
-    /// Crossing into a new term drops *every* memoized target, not just the
-    /// touched sap's: a promotion means the table's provenance changed, and
-    /// fan-outs memoized under the old régime must not survive it.
+    /// Crossing into a new term invalidates *every* cached resolution, not
+    /// just the touched sap's: a promotion means the table's provenance
+    /// changed, and fan-outs resolved under the old régime must not
+    /// survive it.
     pub fn apply_epoch_update(
         &mut self,
         term: u32,
@@ -205,8 +156,6 @@ impl RedirectorTable {
     /// Installs (or replaces) the entry for a service access point.
     pub fn install(&mut self, sap: SockAddr, entry: ServiceEntry) {
         self.entries.insert(sap, entry);
-        self.target_cache.get_mut().remove(&sap);
-        self.ft_cache.get_mut().remove(&sap);
         self.generation += 1;
         self.c_installs.inc();
         self.g_entries.set(self.entries.len() as f64);
@@ -216,8 +165,6 @@ impl RedirectorTable {
     pub fn remove(&mut self, sap: SockAddr) -> Option<ServiceEntry> {
         let removed = self.entries.remove(&sap);
         if removed.is_some() {
-            self.target_cache.get_mut().remove(&sap);
-            self.ft_cache.get_mut().remove(&sap);
             self.generation += 1;
             self.c_removes.inc();
             self.g_entries.set(self.entries.len() as f64);
@@ -225,28 +172,19 @@ impl RedirectorTable {
         removed
     }
 
-    /// The nearest *routable* replica for a scaled service, memoized.
-    ///
-    /// On a cache miss the replicas are scanned in order, keeping the first
-    /// strictly-lowest-metric host for which `routable` yields an egress
-    /// interface (so ties break identically to the uncached `min_by_key`
-    /// scan). The result — including "nothing routable" — is cached until
-    /// the entry is mutated or [`invalidate_targets`](Self::invalidate_targets)
-    /// is called. Returns `None` for missing or fault-tolerant entries.
+    /// The nearest *routable* replica for a scaled service: the replicas
+    /// are scanned in order, keeping the first strictly-lowest-metric host
+    /// for which `routable` yields an egress interface (so ties break
+    /// identically to [`ServiceEntry::targets`]). Returns `None` for
+    /// missing or fault-tolerant entries, or when no replica is routable.
     pub fn scaled_target(
         &self,
         sap: SockAddr,
         mut routable: impl FnMut(IpAddr) -> Option<IfaceId>,
     ) -> Option<(IpAddr, IfaceId)> {
-        let replicas = match self.entries.get(&sap) {
-            Some(ServiceEntry::Scaled { replicas }) => replicas,
-            _ => return None,
+        let Some(ServiceEntry::Scaled { replicas }) = self.entries.get(&sap) else {
+            return None;
         };
-        if let Some(&cached) = self.target_cache.borrow().get(&sap) {
-            self.c_cache_hits.inc();
-            return cached;
-        }
-        self.c_cache_misses.inc();
         let mut best: Option<(u32, IpAddr, IfaceId)> = None;
         for r in replicas {
             if best.is_some_and(|(m, _, _)| m <= r.metric) {
@@ -256,49 +194,36 @@ impl RedirectorTable {
                 best = Some((r.metric, r.host, iface));
             }
         }
-        let picked = best.map(|(_, host, iface)| (host, iface));
-        self.target_cache.borrow_mut().insert(sap, picked);
-        picked
+        best.map(|(_, host, iface)| (host, iface))
     }
 
-    /// The routed multicast fan-out for a fault-tolerant service, memoized.
-    ///
-    /// On a cache miss every chain member is resolved through `routable`
-    /// (in chain order, matching the uncached walk); the result is cached
-    /// until the entry is mutated or
-    /// [`invalidate_targets`](Self::invalidate_targets) is called. Returns
+    /// The routed multicast fan-out for a fault-tolerant service: the
+    /// `(egress interface, host)` of every routable chain member in chain
+    /// order, plus how many members `routable` found no route for. Returns
     /// `None` for missing or scaled entries.
     pub fn ft_targets(
         &self,
         sap: SockAddr,
         mut routable: impl FnMut(IpAddr) -> Option<IfaceId>,
-    ) -> Option<Rc<FtTargets>> {
-        let chain = match self.entries.get(&sap) {
-            Some(ServiceEntry::FaultTolerant { chain }) => chain,
-            _ => return None,
+    ) -> Option<(Vec<(IfaceId, IpAddr)>, u32)> {
+        let Some(ServiceEntry::FaultTolerant { chain }) = self.entries.get(&sap) else {
+            return None;
         };
-        if let Some(cached) = self.ft_cache.borrow().get(&sap) {
-            self.c_cache_hits.inc();
-            return Some(Rc::clone(cached));
-        }
-        self.c_cache_misses.inc();
-        let mut t = FtTargets::default();
+        let mut routed = Vec::with_capacity(chain.len());
+        let mut unroutable = 0;
         for &host in chain {
             match routable(host) {
-                Some(iface) => t.routed.push((iface, host)),
-                None => t.unroutable += 1,
+                Some(iface) => routed.push((iface, host)),
+                None => unroutable += 1,
             }
         }
-        let rc = Rc::new(t);
-        self.ft_cache.borrow_mut().insert(sap, Rc::clone(&rc));
-        Some(rc)
+        Some((routed, unroutable))
     }
 
-    /// Drops every memoized target. Call after anything *outside* the table
-    /// changes which replicas are routable (i.e. the routing table).
+    /// Declares that something *outside* the table (i.e. the routing
+    /// table) changed which replicas are routable: bumps the generation so
+    /// every cached resolution is dropped.
     pub fn invalidate_targets(&mut self) {
-        self.target_cache.get_mut().clear();
-        self.ft_cache.get_mut().clear();
         self.generation += 1;
     }
 
@@ -319,9 +244,7 @@ impl RedirectorTable {
     /// Mutable access to the FT chain for `sap` (used by reconfiguration).
     pub fn chain_mut(&mut self, sap: SockAddr) -> Option<&mut Vec<IpAddr>> {
         // An entry handed out mutably is an entry we can no longer vouch
-        // for: drop both caches' memo before the caller can edit the chain.
-        self.target_cache.get_mut().remove(&sap);
-        self.ft_cache.get_mut().remove(&sap);
+        // for: invalidate cached resolutions before the caller edits it.
         self.generation += 1;
         match self.entries.get_mut(&sap) {
             Some(ServiceEntry::FaultTolerant { chain }) => Some(chain),
@@ -430,7 +353,7 @@ mod tests {
     }
 
     #[test]
-    fn scaled_target_memoizes_the_scan() {
+    fn scaled_target_probes_only_improving_candidates() {
         let mut t = RedirectorTable::new();
         t.install(sap(80), scaled(&[(1, 10), (2, 3), (3, 7)]));
         let probes = std::cell::Cell::new(0);
@@ -444,12 +367,6 @@ mod tests {
         );
         // Only improving candidates are probed: hosts 1 and 2, not 3.
         assert_eq!(probes.get(), 2);
-        // Second lookup is served from the cache: no routing probes at all.
-        assert_eq!(
-            t.scaled_target(sap(80), routable),
-            Some((host(2), IfaceId::from_index(0)))
-        );
-        assert_eq!(probes.get(), 2);
     }
 
     #[test]
@@ -462,22 +379,11 @@ mod tests {
         // Nearest replica has no route: the next-nearest routable one wins.
         let got = t.scaled_target(sap(80), |h| (h != host(1)).then(|| IfaceId::from_index(9)));
         assert_eq!(got, Some((host(2), IfaceId::from_index(9))));
-        // Nothing routable: the negative result is cached too.
+        // Nothing routable: no pick…
         let mut t2 = RedirectorTable::new();
         t2.install(sap(80), scaled(&[(1, 1)]));
         assert_eq!(t2.scaled_target(sap(80), |_| None::<IfaceId>), None);
-        let mut probes = 0;
-        assert_eq!(
-            t2.scaled_target(sap(80), |_| {
-                probes += 1;
-                Some(IfaceId::from_index(0))
-            }),
-            None,
-            "negative result must be served from the cache"
-        );
-        assert_eq!(probes, 0);
-        // ... until the caller declares routing changed.
-        t2.invalidate_targets();
+        // …until routing changes.
         assert_eq!(
             t2.scaled_target(sap(80), |_| Some(IfaceId::from_index(0))),
             Some((host(1), IfaceId::from_index(0)))
@@ -485,7 +391,7 @@ mod tests {
     }
 
     #[test]
-    fn install_and_remove_invalidate_cached_target() {
+    fn scaled_target_follows_install_and_remove() {
         let mut t = RedirectorTable::new();
         t.install(sap(80), scaled(&[(1, 5), (2, 9)]));
         let routable = |_h: IpAddr| Some(IfaceId::from_index(0));
@@ -493,7 +399,7 @@ mod tests {
         // Replacing the entry must not serve the stale pick.
         t.install(sap(80), scaled(&[(1, 5), (2, 2)]));
         assert_eq!(t.scaled_target(sap(80), routable).unwrap().0, host(2));
-        // A different service's cache entry is untouched by the mutation.
+        // A different service's pick is untouched by the mutation.
         t.install(sap(443), scaled(&[(3, 1)]));
         assert_eq!(t.scaled_target(sap(443), routable).unwrap().0, host(3));
         t.install(sap(80), scaled(&[(1, 0)]));
@@ -519,7 +425,7 @@ mod tests {
     }
 
     #[test]
-    fn ft_targets_memoizes_routing_lookups() {
+    fn ft_targets_routes_chain_in_order_and_counts_unroutable() {
         let mut t = RedirectorTable::new();
         t.install(
             sap(80),
@@ -532,28 +438,24 @@ mod tests {
             probes.set(probes.get() + 1);
             (h != host(2)).then(|| IfaceId::from_index(0))
         };
-        let got = t.ft_targets(sap(80), routable).unwrap();
+        let (routed, unroutable) = t.ft_targets(sap(80), routable).unwrap();
         assert_eq!(
-            got.routed,
+            routed,
             vec![
                 (IfaceId::from_index(0), host(1)),
                 (IfaceId::from_index(0), host(3)),
             ]
         );
-        assert_eq!(got.unroutable, 1);
+        assert_eq!(unroutable, 1);
         assert_eq!(probes.get(), 3);
-        // Second resolution is served from the cache: no routing probes.
-        let again = t.ft_targets(sap(80), routable).unwrap();
-        assert_eq!(probes.get(), 3);
-        assert!(Rc::ptr_eq(&got, &again));
-        // Scaled and missing entries are not the FT cache's business.
+        // Scaled and missing entries have no FT fan-out.
         t.install(sap(443), scaled(&[(1, 1)]));
         assert!(t.ft_targets(sap(443), routable).is_none());
         assert!(t.ft_targets(sap(23), routable).is_none());
     }
 
     #[test]
-    fn ft_targets_invalidates_on_mutation_and_route_change() {
+    fn ft_targets_follow_chain_edits_and_route_changes() {
         let mut t = RedirectorTable::new();
         t.install(
             sap(80),
@@ -562,20 +464,20 @@ mod tests {
             },
         );
         let all = |_h: IpAddr| Some(IfaceId::from_index(0));
-        assert_eq!(t.ft_targets(sap(80), all).unwrap().routed.len(), 2);
-        // Chain reconfiguration (fail-over) must drop the memoized fan-out.
+        assert_eq!(t.ft_targets(sap(80), all).unwrap().0.len(), 2);
+        // Chain reconfiguration (fail-over) changes the fan-out.
         assert!(t.remove_from_chain(sap(80), host(1)));
         assert_eq!(
-            t.ft_targets(sap(80), all).unwrap().routed,
+            t.ft_targets(sap(80), all).unwrap().0,
             vec![(IfaceId::from_index(0), host(2))]
         );
-        // A routing change must re-resolve too.
-        t.invalidate_targets();
-        let got = t.ft_targets(sap(80), |h| (h != host(2)).then(|| IfaceId::from_index(1)));
-        let got = got.unwrap();
-        assert!(got.routed.is_empty());
-        assert_eq!(got.unroutable, 1);
-        // Removal clears the cache along with the entry.
+        // So does a routing change.
+        let (routed, unroutable) = t
+            .ft_targets(sap(80), |h| (h != host(2)).then(|| IfaceId::from_index(1)))
+            .unwrap();
+        assert!(routed.is_empty());
+        assert_eq!(unroutable, 1);
+        // Removal takes the fan-out with the entry.
         t.remove(sap(80));
         assert!(t.ft_targets(sap(80), all).is_none());
     }
@@ -607,47 +509,6 @@ mod tests {
         // Same-epoch replay is idempotent, newer seq advances.
         assert!(t.apply_epoch_update(1, 2, sap(80), None));
         assert!(t.lookup(sap(80)).is_none());
-    }
-
-    #[test]
-    fn term_change_flushes_every_memoized_target() {
-        let mut t = RedirectorTable::new();
-        t.install(
-            sap(80),
-            ServiceEntry::FaultTolerant {
-                chain: vec![host(1), host(2)],
-            },
-        );
-        let probes = std::cell::Cell::new(0);
-        let routable = |_h: IpAddr| {
-            probes.set(probes.get() + 1);
-            Some(IfaceId::from_index(0))
-        };
-        assert_eq!(t.ft_targets(sap(80), routable).unwrap().routed.len(), 2);
-        assert_eq!(probes.get(), 2);
-        // A replicated update in a NEW term touching a different service
-        // must still flush sap(80)'s memoized fan-out.
-        assert!(t.apply_epoch_update(
-            1,
-            1,
-            sap(443),
-            Some(ServiceEntry::FaultTolerant {
-                chain: vec![host(3)],
-            }),
-        ));
-        assert_eq!(t.ft_targets(sap(80), routable).unwrap().routed.len(), 2);
-        assert_eq!(probes.get(), 4, "cache was re-resolved after term change");
-        // A same-term update to another service leaves the memo alone.
-        assert!(t.apply_epoch_update(
-            1,
-            2,
-            sap(443),
-            Some(ServiceEntry::FaultTolerant {
-                chain: vec![host(4)],
-            }),
-        ));
-        let _ = t.ft_targets(sap(80), routable);
-        assert_eq!(probes.get(), 4);
     }
 
     #[test]
