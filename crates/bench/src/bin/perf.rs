@@ -37,8 +37,9 @@
 //!    stack replaced for the 10k-flow regime, measured before-vs-after in
 //!    the same run at a 10,000-connection population — demux lookup
 //!    (`BTreeMap<Quad, _>` walk vs packed-quad flat-map probe) and timer
-//!    dispatch (full deadline scan over every connection vs hierarchical
-//!    timing-wheel pop). The after/before speedups are pinned: the run
+//!    dispatch (full deadline scan over every connection vs the stack's
+//!    lazily-invalidated deadline-heap pop). The after/before speedups are
+//!    pinned: the run
 //!    fails if either drops below 2x, so the scaling win is a regression
 //!    gate, not a claim.
 //!
@@ -431,12 +432,12 @@ fn measure_fig4_small(cfg: PerfConfig) -> CalPoint {
 // ----------------------------------------------------------------------
 
 /// Connection population for the stack microbenches — the scale regime the
-/// slab/flat-map/wheel refactor targets.
+/// slab/flat-map/timer-heap refactor targets.
 const MICRO_FLOWS: usize = 10_000;
 /// Pinned minimum speedup of the flat-map demux over the `BTreeMap` it
 /// replaced, at [`MICRO_FLOWS`] connections.
 const DEMUX_MIN_RATIO: f64 = 2.0;
-/// Pinned minimum speedup of wheel-driven timer dispatch over the
+/// Pinned minimum speedup of heap-driven timer dispatch over the
 /// full-deadline-scan it replaced, at [`MICRO_FLOWS`] connections.
 const TIMER_MIN_RATIO: f64 = 2.0;
 
@@ -544,11 +545,15 @@ fn measure_demux_micro(cfg: PerfConfig) -> (MicroPoint, MicroPoint) {
 
 /// Timer dispatch at 10k connections: fire every armed timer in deadline
 /// order, the old way (`next_deadline` = full scan over every connection,
-/// per fire) versus the wheel (pop is O(due)). Deadlines are a seed-fixed
-/// spread so both variants fire the identical schedule.
+/// per fire) versus the index `TcpStack` ships — a `(time, seq)` min-heap
+/// with lazy invalidation. Each connection files a superseded deadline
+/// before its live one, as a re-armed RTO does, and the heap side discards
+/// it on pop by the same armed-deadline check the stack makes. Deadlines
+/// are a seed-fixed spread so both variants fire the identical schedule.
 fn measure_timer_micro(cfg: PerfConfig) -> (MicroPoint, MicroPoint) {
     use hydranet_netsim::rng::SimRng;
-    use hydranet_netsim::wheel::{TimerEntry, TimingWheel};
+    use hydranet_netsim::wheel::TimerEntry;
+    use std::collections::BinaryHeap;
 
     let mut rng = SimRng::seed_from(SEED);
     let deadlines: Vec<SimTime> = (0..MICRO_FLOWS)
@@ -560,7 +565,7 @@ fn measure_timer_micro(cfg: PerfConfig) -> (MicroPoint, MicroPoint) {
         let mut armed: Vec<Option<SimTime>> = deadlines.iter().copied().map(Some).collect();
         let mut fired = 0u64;
         let mut acc = 0u64;
-        // The pre-wheel stack: every `on_timer` scans every connection for
+        // The original stack: every `on_timer` scans every connection for
         // the minimum deadline, fires it, then rescans for the next one.
         loop {
             let mut min: Option<(usize, SimTime)> = None;
@@ -579,18 +584,29 @@ fn measure_timer_micro(cfg: PerfConfig) -> (MicroPoint, MicroPoint) {
         assert_eq!(fired, fires);
         black_box(acc);
     });
-    let after = micro_point("timer_wheel", cfg.iters, fires, || {
-        let mut wheel: TimingWheel<u32> = TimingWheel::default();
+    let after = micro_point("timer_heap", cfg.iters, fires, || {
+        let mut armed: Vec<Option<SimTime>> = deadlines.iter().copied().map(Some).collect();
+        let mut heap: BinaryHeap<TimerEntry<u32>> = BinaryHeap::new();
+        let mut seq = 0u64;
         for (i, &d) in deadlines.iter().enumerate() {
-            wheel.push(TimerEntry {
-                time: d,
-                seq: i as u64,
-                payload: i as u32,
-            });
+            let superseded = SimTime::from_nanos(d.as_nanos() / 2);
+            for time in [superseded, d] {
+                heap.push(TimerEntry {
+                    time,
+                    seq,
+                    payload: i as u32,
+                });
+                seq += 1;
+            }
         }
         let mut fired = 0u64;
         let mut acc = 0u64;
-        while let Some(e) = wheel.pop() {
+        while let Some(e) = heap.pop() {
+            let slot = &mut armed[e.payload as usize];
+            if *slot != Some(e.time) {
+                continue; // superseded: stale
+            }
+            *slot = None;
             fired += 1;
             acc ^= e.time.as_nanos();
         }
@@ -1194,14 +1210,14 @@ fn main() {
     let demux_ratio = demux_after.ops_per_sec / demux_before.ops_per_sec;
     let timer_ratio = timer_after.ops_per_sec / timer_before.ops_per_sec;
     println!("  demux: flat map x{demux_ratio:.2} over BTreeMap (pinned >= {DEMUX_MIN_RATIO}x)");
-    println!("  timers: wheel x{timer_ratio:.2} over full scan (pinned >= {TIMER_MIN_RATIO}x)");
+    println!("  timers: heap x{timer_ratio:.2} over full scan (pinned >= {TIMER_MIN_RATIO}x)");
     assert!(
         demux_ratio >= DEMUX_MIN_RATIO,
         "demux flat map must stay >= {DEMUX_MIN_RATIO}x over BTreeMap at {MICRO_FLOWS} flows, got x{demux_ratio:.2}"
     );
     assert!(
         timer_ratio >= TIMER_MIN_RATIO,
-        "timer wheel must stay >= {TIMER_MIN_RATIO}x over full scan at {MICRO_FLOWS} flows, got x{timer_ratio:.2}"
+        "timer heap must stay >= {TIMER_MIN_RATIO}x over full scan at {MICRO_FLOWS} flows, got x{timer_ratio:.2}"
     );
     println!("\nper-subsystem event attribution (fig4 chain-2 transfer):");
     let attribution = measure_attribution(cfg);
@@ -1423,7 +1439,7 @@ fn main() {
     }
     out.push_str("\n  ],\n\"scale_micro_ratios\": {\"demux_flat_over_btreemap\": ");
     push_f64(&mut out, demux_ratio);
-    out.push_str(", \"timer_wheel_over_fullscan\": ");
+    out.push_str(", \"timer_heap_over_fullscan\": ");
     push_f64(&mut out, timer_ratio);
     out.push('}');
     out.push_str(",\n\"event_attribution\": [\n");

@@ -359,11 +359,6 @@ fn run_cell_impl(
         ..TcpConfig::default()
     };
     let mut b = SystemBuilder::new(tcp);
-    // At scale, every packet otherwise spawns a chain of stale node-timer
-    // wakeups (~95% of all events at 600 flows); coalescing keeps only
-    // the earliest pending arm. Deterministic, but it changes event
-    // counts, hence opt-in per workload.
-    b.set_coalesce_node_timers(true);
     let client = b.add_client("client", CLIENT);
     let cross = b.add_client("cross", CROSS);
     let rd = b.add_redirector("rd", RD);

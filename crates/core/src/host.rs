@@ -11,6 +11,8 @@ use hydranet_tcp::detector::DetectorParams;
 use hydranet_tcp::segment::{Quad, SockAddr};
 use hydranet_tcp::stack::{EphemeralPortsExhausted, SocketApp, StackEvent, TcpStack};
 
+use crate::wake::WakeUp;
+
 /// An ordinary, unmodified client host: one interface, one [`TcpStack`],
 /// no HydraNet software at all — "neither the client application, nor the
 /// client TCP stack are aware of service management, server failures, and
@@ -23,12 +25,7 @@ pub struct ClientHost {
     /// Scratch buffer recycled through `TcpStack::take_packets_into` so a
     /// flush costs no allocation once the high-water mark is reached.
     pkt_buf: Vec<IpPacket>,
-    /// When set, skip re-arming the node timer if a pending one already
-    /// fires at or before the stack's next deadline (see
-    /// [`set_coalesce_timers`](Self::set_coalesce_timers)).
-    coalesce_timers: bool,
-    /// Earliest pending node-timer instant (tracked only for coalescing).
-    armed_at: Option<SimTime>,
+    wake: WakeUp,
 }
 
 impl std::fmt::Debug for ClientHost {
@@ -48,21 +45,8 @@ impl ClientHost {
             events: Vec::new(),
             name: name.into(),
             pkt_buf: Vec::new(),
-            coalesce_timers: false,
-            armed_at: None,
+            wake: WakeUp::default(),
         }
-    }
-
-    /// Enables node-timer coalescing: a flush arms a fresh simulator timer
-    /// only when the stack's next deadline is *earlier* than one already
-    /// pending. Without this, every flush files a new calendar entry and
-    /// every stale entry's wakeup files another — one immortal wakeup
-    /// chain per packet, which at 10k-flow scale multiplies simulator
-    /// events ~30×. Off by default: dropping those no-op wakeups changes
-    /// simulator event *counts*, which the repo's pinned fingerprints
-    /// include, so flipping the default is a deliberate re-pin event.
-    pub fn set_coalesce_timers(&mut self, on: bool) {
-        self.coalesce_timers = on;
     }
 
     /// The host's stack.
@@ -106,12 +90,7 @@ impl ClientHost {
             ctx.send(IfaceId::from_index(0), p);
         }
         self.events.extend(self.stack.take_events());
-        if let Some(t) = self.stack.next_deadline() {
-            if !self.coalesce_timers || self.armed_at.is_none_or(|a| t < a) {
-                ctx.set_timer_at(t, TimerToken(0));
-                self.armed_at = Some(t);
-            }
-        }
+        self.wake.arm(ctx, self.stack.next_deadline());
     }
 }
 
@@ -122,16 +101,13 @@ impl Node for ClientHost {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, _token: TimerToken) {
-        if self.armed_at.is_some_and(|a| a <= ctx.now()) {
-            self.armed_at = None;
-        }
+        self.wake.fired(ctx.now());
         self.stack.on_timer(ctx.now());
         self.flush(ctx);
     }
 
     fn on_crash(&mut self) {
-        // The simulator discards a crashed node's pending timers.
-        self.armed_at = None;
+        self.wake.forget();
     }
 
     fn name(&self) -> &str {
@@ -161,9 +137,7 @@ pub struct HostServer {
     /// Scratch buffers recycled through the stack's `take_*_into` drains.
     pkt_buf: Vec<IpPacket>,
     ev_buf: Vec<StackEvent>,
-    /// See [`ClientHost::set_coalesce_timers`].
-    coalesce_timers: bool,
-    armed_at: Option<SimTime>,
+    pub(crate) wake: WakeUp,
 }
 
 impl std::fmt::Debug for HostServer {
@@ -204,15 +178,8 @@ impl HostServer {
             obs: Obs::disabled(),
             pkt_buf: Vec::new(),
             ev_buf: Vec::new(),
-            coalesce_timers: false,
-            armed_at: None,
+            wake: WakeUp::default(),
         }
-    }
-
-    /// Enables node-timer coalescing; see [`ClientHost::set_coalesce_timers`]
-    /// for semantics and the default-off rationale.
-    pub fn set_coalesce_timers(&mut self, on: bool) {
-        self.coalesce_timers = on;
     }
 
     /// Wires telemetry into the stack and the management daemon.
@@ -369,12 +336,7 @@ impl HostServer {
         .into_iter()
         .flatten()
         .min();
-        if let Some(t) = deadline {
-            if !self.coalesce_timers || self.armed_at.is_none_or(|a| t < a) {
-                ctx.set_timer_at(t, TimerToken(0));
-                self.armed_at = Some(t);
-            }
-        }
+        self.wake.arm(ctx, deadline);
     }
 }
 
@@ -388,8 +350,7 @@ impl Node for HostServer {
         for p in &mut self.pending {
             p.registered = false;
         }
-        // The simulator discards a crashed node's pending timers.
-        self.armed_at = None;
+        self.wake.forget();
     }
 
     fn on_recover(&mut self, ctx: &mut Context<'_>) {
@@ -426,9 +387,7 @@ impl Node for HostServer {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, _token: TimerToken) {
-        if self.armed_at.is_some_and(|a| a <= ctx.now()) {
-            self.armed_at = None;
-        }
+        self.wake.fired(ctx.now());
         self.stack.on_timer(ctx.now());
         self.drive(ctx);
     }

@@ -61,6 +61,7 @@ pub mod host;
 pub mod redirector;
 pub mod scenario;
 pub mod system;
+mod wake;
 
 /// Convenient glob-import of everything a deployment needs.
 pub mod prelude {

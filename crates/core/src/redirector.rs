@@ -12,6 +12,8 @@ use hydranet_redirect::redirector::{Disposition, RedirectorEngine};
 use hydranet_redirect::table::ServiceEntry;
 use hydranet_tcp::udp::UdpDatagram;
 
+use crate::wake::WakeUp;
+
 /// How long a freshly promoted pair member defers brand-new fault-tolerant
 /// flows: one mgmt reliable retransmit period
 /// (`hydranet_mgmt::reliable::DEFAULT_RETRY_INTERVAL`, 250 ms) plus
@@ -28,9 +30,7 @@ pub struct ManagedRedirector {
     name: String,
     out_scratch: Vec<(IfaceId, IpPacket)>,
     obs: Obs,
-    /// See `ClientHost::set_coalesce_timers` in `crate::host`.
-    coalesce_timers: bool,
-    armed_at: Option<SimTime>,
+    wake: WakeUp,
     /// Interfaces a promotion floods `ROUTE_ANNOUNCE` packets out of.
     announce_ifaces: Vec<IfaceId>,
 }
@@ -53,8 +53,7 @@ impl ManagedRedirector {
             name: name.into(),
             out_scratch: Vec::new(),
             obs: Obs::disabled(),
-            coalesce_timers: false,
-            armed_at: None,
+            wake: WakeUp::default(),
             announce_ifaces: Vec::new(),
         }
     }
@@ -68,12 +67,6 @@ impl ManagedRedirector {
         self.engine.set_virtual_addr(vip);
         self.controller.configure_pair(cfg, SimTime::ZERO);
         self.announce_ifaces = announce_ifaces;
-    }
-
-    /// Enables node-timer coalescing; see `ClientHost::set_coalesce_timers`
-    /// for semantics and the default-off rationale.
-    pub fn set_coalesce_timers(&mut self, on: bool) {
-        self.coalesce_timers = on;
     }
 
     /// Wires telemetry into the engine (redirection counters, table
@@ -199,12 +192,7 @@ impl ManagedRedirector {
             ctx.send(iface, p);
         }
         self.out_scratch = out;
-        if let Some(t) = self.controller.next_deadline() {
-            if !self.coalesce_timers || self.armed_at.is_none_or(|a| t < a) {
-                ctx.set_timer_at(t, TimerToken(0));
-                self.armed_at = Some(t);
-            }
-        }
+        self.wake.arm(ctx, self.controller.next_deadline());
     }
 }
 
@@ -251,15 +239,12 @@ impl Node for ManagedRedirector {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, _token: TimerToken) {
-        if self.armed_at.is_some_and(|a| a <= ctx.now()) {
-            self.armed_at = None;
-        }
+        self.wake.fired(ctx.now());
         self.drive(ctx);
     }
 
     fn on_crash(&mut self) {
-        // The simulator discards a crashed node's pending timers.
-        self.armed_at = None;
+        self.wake.forget();
     }
 
     fn name(&self) -> &str {

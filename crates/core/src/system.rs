@@ -88,7 +88,6 @@ pub struct SystemBuilder {
     links: Vec<(NodeId, NodeId, IfaceId, IfaceId)>,
     default_tcp: TcpConfig,
     probe_params: ProbeParams,
-    coalesce_node_timers: bool,
     pairs: Vec<PairSpec>,
 }
 
@@ -110,22 +109,15 @@ impl SystemBuilder {
             links: Vec::new(),
             default_tcp,
             probe_params: ProbeParams::default(),
-            coalesce_node_timers: false,
             pairs: Vec::new(),
         }
     }
 
-    /// Enables node-timer coalescing on every client, host server, and
-    /// redirector in the built system: a node re-arms its simulator timer
-    /// only when its next deadline moved *earlier* than one already
-    /// pending, instead of filing a fresh calendar entry on every flush.
-    /// This collapses the per-packet chains of stale wakeups that dominate
-    /// the event count at many-flow scale (see DESIGN.md §5c). Off by
-    /// default because the skipped wakeups are counted simulator events
-    /// and the repo's pinned fingerprints include event counts.
-    pub fn set_coalesce_node_timers(&mut self, on: bool) {
-        self.coalesce_node_timers = on;
-    }
+    /// No-op, kept for source compatibility with callers written when
+    /// node-timer coalescing was opt-in. Every node now files a simulator
+    /// wake-up only when its next deadline moves earlier than the one
+    /// already pending, unconditionally (see DESIGN.md §5c).
+    pub fn set_coalesce_node_timers(&mut self, _on: bool) {}
 
     /// Overrides the failure-identification probe parameters used by
     /// redirectors added *after* this call.
@@ -407,7 +399,6 @@ impl SystemBuilder {
             mut topo,
             nodes,
             links,
-            coalesce_node_timers,
             pairs,
             ..
         } = self;
@@ -573,19 +564,13 @@ impl SystemBuilder {
             let id = NodeId::from_index(idx);
             match info.kind {
                 NodeKind::Client => {
-                    let node = topo.node_mut::<ClientHost>(id);
-                    node.set_obs(obs.clone());
-                    node.set_coalesce_timers(coalesce_node_timers);
+                    topo.node_mut::<ClientHost>(id).set_obs(obs.clone());
                 }
                 NodeKind::HostServer => {
-                    let node = topo.node_mut::<HostServer>(id);
-                    node.set_obs(obs.clone());
-                    node.set_coalesce_timers(coalesce_node_timers);
+                    topo.node_mut::<HostServer>(id).set_obs(obs.clone());
                 }
                 NodeKind::Redirector => {
-                    let node = topo.node_mut::<ManagedRedirector>(id);
-                    node.set_obs(obs.clone());
-                    node.set_coalesce_timers(coalesce_node_timers);
+                    topo.node_mut::<ManagedRedirector>(id).set_obs(obs.clone());
                 }
                 NodeKind::Router => {}
             }

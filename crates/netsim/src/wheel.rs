@@ -14,19 +14,17 @@
 //! by a 4096 ns tick; within a slot entries are sorted by `(time, seq)`
 //! before popping, so sub-tick ordering and FIFO tie-breaks are preserved
 //! bit-for-bit. Timer cancellation lives above the calendar (the
-//! simulator's tombstone set, the TCP stack's armed-deadline check) and
-//! is backend-agnostic.
+//! simulator's tombstone set) and is backend-agnostic.
 //!
-//! The wheel is generic over its payload so it serves two masters: the
-//! simulator's [`EventQueue`] files whole events (`P = EventKind`), and
-//! each [`TcpStack`] files per-connection timer references (`P` = a
-//! generation-checked slab index), sharing the cascade and lap-accounting
-//! logic rather than reimplementing it.
-//!
-//! [`EventQueue`]: crate::event — the queue wraps either backend; pick one
-//! per simulator with [`crate::sim::Simulator::set_calendar`].
-//!
-//! [`TcpStack`]: the TCP crate's per-host stack (downstream of this one).
+//! The wheel backs only the simulator's event calendar (the crate-private
+//! `EventQueue`, which wraps either backend; pick one per simulator with
+//! [`crate::sim::Simulator::set_calendar`]). It is generic over its
+//! payload (`P = EventKind` there) so the unit tests can drive it with
+//! plain integers. [`TimerEntry`] is shared more widely: its inverted
+//! `(time, seq)` order also makes it the element of the TCP stack's
+//! per-host deadline heap, which needs an exact-min peek of *future*
+//! deadlines that a wheel cannot give without cascading its clock past
+//! the present.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -45,9 +43,10 @@ pub enum CalendarKind {
     Wheel,
 }
 
-/// One entry filed in the wheel: a deadline, the owner-assigned insertion
+/// One entry filed in the wheel (or in a `BinaryHeap`, which its inverted
+/// order turns into a min-heap): a deadline, the owner-assigned insertion
 /// sequence number that breaks same-time ties FIFO, and an arbitrary
-/// payload the wheel never inspects.
+/// payload the index never inspects.
 #[derive(Debug)]
 pub struct TimerEntry<P> {
     /// When the entry fires.
@@ -173,18 +172,11 @@ fn level_for(delta: u64) -> usize {
 }
 
 impl<P> TimingWheel<P> {
-    /// Wires the wheel's internal counters under the given metric prefix
-    /// (`{prefix}.cascades` etc.) — the simulator calendar uses `wheel`,
-    /// per-stack connection-timer wheels use their own namespace.
-    pub fn set_obs_prefixed(&mut self, obs: &Obs, prefix: &str) {
-        self.c_cascades = obs.counter(&format!("{prefix}.cascades"));
-        self.c_overflow = obs.counter(&format!("{prefix}.overflow_pushes"));
-        self.c_sorts = obs.counter(&format!("{prefix}.slot_sorts"));
-    }
-
-    /// Wires the wheel's counters under the default `wheel.*` namespace.
+    /// Wires the wheel's internal counters under `wheel.*`.
     pub fn set_obs(&mut self, obs: &Obs) {
-        self.set_obs_prefixed(obs, "wheel");
+        self.c_cascades = obs.counter("wheel.cascades");
+        self.c_overflow = obs.counter("wheel.overflow_pushes");
+        self.c_sorts = obs.counter("wheel.slot_sorts");
     }
 
     /// Total entries filed (levels plus overflow).

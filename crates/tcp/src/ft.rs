@@ -213,62 +213,38 @@ impl AckChanMsg {
         }
     }
 
-    /// Parses the single-pair wire format.
+    /// The one ack-channel decoder. Parses either wire format — a
+    /// single-pair frame `0xA1 | pair` or a batch `0xA2 | n | n × pair`
+    /// with `n ≥ 1` — and invokes `f` once per pair, in wire order.
+    /// Returns the pair count. A frame is accepted only at its exact
+    /// length, and `f` runs only after the whole frame has been validated,
+    /// so a rejected frame never applies part of a batch.
     ///
     /// # Errors
     ///
-    /// Returns a [`DecodeError`] on truncation or a bad tag byte.
-    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
-        if bytes.len() < ACK_CHAN_MSG_LEN {
-            return Err(DecodeError::Truncated {
-                needed: ACK_CHAN_MSG_LEN,
-                got: bytes.len(),
+    /// Returns a [`DecodeError`] on empty input, a batch frame without
+    /// its count byte, an unknown tag byte, a zero count, or a length that
+    /// differs from the one the tag and count declare.
+    pub fn decode_each(bytes: &[u8], mut f: impl FnMut(AckChanMsg)) -> Result<usize, DecodeError> {
+        let (&tag, body) = bytes
+            .split_first()
+            .ok_or(DecodeError::Truncated { needed: 1, got: 0 })?;
+        let (count, pairs) = match (tag, body) {
+            (ACK_CHAN_TAG, _) => (1, body),
+            (ACK_CHAN_BATCH_TAG, [n, pairs @ ..]) => (*n as usize, pairs),
+            (ACK_CHAN_BATCH_TAG, []) => return Err(DecodeError::Truncated { needed: 2, got: 1 }),
+            _ => return Err(DecodeError::BadVersion(tag)),
+        };
+        if count == 0 || pairs.len() != count * ACK_CHAN_PAIR_LEN {
+            return Err(DecodeError::BadLength {
+                declared: bytes.len() - pairs.len() + count * ACK_CHAN_PAIR_LEN,
+                available: bytes.len(),
             });
         }
-        if bytes[0] != ACK_CHAN_TAG {
-            return Err(DecodeError::BadVersion(bytes[0]));
+        for pair in pairs.chunks_exact(ACK_CHAN_PAIR_LEN) {
+            f(Self::decode_pair(pair));
         }
-        Ok(Self::decode_pair(&bytes[1..]))
-    }
-
-    /// Parses either wire format — a single-pair message or a batch — and
-    /// invokes `f` once per pair, in wire order. Returns the pair count.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] on truncation, an unknown tag byte, or a
-    /// batch whose declared count does not match its length.
-    pub fn decode_each(bytes: &[u8], mut f: impl FnMut(AckChanMsg)) -> Result<usize, DecodeError> {
-        match bytes.first() {
-            Some(&ACK_CHAN_TAG) => {
-                f(Self::decode(bytes)?);
-                Ok(1)
-            }
-            Some(&ACK_CHAN_BATCH_TAG) => {
-                if bytes.len() < 2 {
-                    return Err(DecodeError::Truncated {
-                        needed: 2,
-                        got: bytes.len(),
-                    });
-                }
-                let count = bytes[1] as usize;
-                let declared = 2 + count * ACK_CHAN_PAIR_LEN;
-                if count == 0 || bytes.len() != declared {
-                    return Err(DecodeError::BadLength {
-                        declared,
-                        available: bytes.len(),
-                    });
-                }
-                for i in 0..count {
-                    f(Self::decode_pair(
-                        &bytes[2 + i * ACK_CHAN_PAIR_LEN..2 + (i + 1) * ACK_CHAN_PAIR_LEN],
-                    ));
-                }
-                Ok(count)
-            }
-            Some(&tag) => Err(DecodeError::BadVersion(tag)),
-            None => Err(DecodeError::Truncated { needed: 1, got: 0 }),
-        }
+        Ok(count)
     }
 }
 
@@ -327,7 +303,9 @@ mod tests {
         };
         let bytes = msg.encode();
         assert_eq!(bytes.len(), ACK_CHAN_MSG_LEN);
-        assert_eq!(AckChanMsg::decode(&bytes).unwrap(), msg);
+        let mut back = Vec::new();
+        assert_eq!(AckChanMsg::decode_each(&bytes, |m| back.push(m)), Ok(1));
+        assert_eq!(back, [msg]);
         assert_eq!(msg.quad().local, msg.service);
         assert_eq!(msg.quad().remote, msg.client);
     }
@@ -386,7 +364,7 @@ mod tests {
 
     #[test]
     fn ack_chan_rejects_garbage() {
-        assert!(AckChanMsg::decode(&[0u8; 5]).is_err());
+        assert!(AckChanMsg::decode_each(&[0u8; 5], |_| {}).is_err());
         let msg = AckChanMsg {
             client: SockAddr::new(IpAddr::new(1, 1, 1, 1), 1),
             service: SockAddr::new(IpAddr::new(2, 2, 2, 2), 2),
@@ -394,8 +372,13 @@ mod tests {
             ack: SeqNum::new(0),
         };
         let mut bytes = msg.encode();
+        // Truncated and over-long single-pair frames.
+        assert!(AckChanMsg::decode_each(&bytes[..ACK_CHAN_MSG_LEN - 1], |_| {}).is_err());
+        let mut long = bytes.clone();
+        long.push(0);
+        assert!(AckChanMsg::decode_each(&long, |_| panic!("applied")).is_err());
         bytes[0] = 0x00;
-        assert!(AckChanMsg::decode(&bytes).is_err());
+        assert!(AckChanMsg::decode_each(&bytes, |_| {}).is_err());
     }
 
     #[test]

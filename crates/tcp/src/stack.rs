@@ -22,11 +22,11 @@
 //!
 //! Connection state lives in a slab (`Vec` of generation-checked slots)
 //! demultiplexed through a flat integer-hashed table keyed by a packed
-//! 64-bit triple of the quad, and per-connection timers ride a per-stack
-//! hierarchical timing wheel ([`hydranet_netsim::wheel`]), so the hot
-//! paths — segment demux, [`TcpStack::on_timer`], and
-//! [`TcpStack::next_deadline`] — cost `O(1)`/`O(due)` rather than
-//! `O(#connections)`. Everywhere iteration order is schedule-visible
+//! 64-bit triple of the quad, and per-connection timers ride one
+//! lazily-invalidated per-stack deadline heap, so the hot paths — segment
+//! demux, [`TcpStack::on_timer`], and [`TcpStack::next_deadline`] — cost
+//! `O(1)`/`O(due · log n)` rather than `O(#connections)`. Everywhere
+//! iteration order is schedule-visible
 //! (timer processing, port re-gearing, ack-channel flushes) connections
 //! are visited in ascending `Quad` order, exactly as the former
 //! `BTreeMap<Quad, _>` table visited them, so the refactor is
@@ -40,7 +40,7 @@ use hydranet_netsim::frag::Reassembler;
 use hydranet_netsim::hash::IntMap;
 use hydranet_netsim::packet::{DecodeError, IpAddr, IpPacket, Protocol};
 use hydranet_netsim::time::{SimDuration, SimTime};
-use hydranet_netsim::wheel::{TimerEntry, TimingWheel};
+use hydranet_netsim::wheel::TimerEntry;
 use hydranet_obs::metrics::{Counter, Histogram};
 use hydranet_obs::Obs;
 
@@ -262,7 +262,7 @@ enum DemuxSlot {
 }
 
 /// One slab slot. `gen` increments on every free, so a stale reference
-/// (a timer-wheel entry filed for a previous occupant) can be detected
+/// (a timer entry filed for a previous occupant) can be detected
 /// in O(1).
 struct ConnSlot {
     gen: u32,
@@ -271,10 +271,10 @@ struct ConnSlot {
 
 struct Occupant {
     quad: Quad,
-    /// Deadline of this connection's single *live* timer-wheel entry;
-    /// kept equal to `conn.next_deadline()` after every interaction.
-    /// Entries in the wheel whose time differs from this are stale and
-    /// are discarded when popped.
+    /// Deadline of this connection's single *live* timer entry; kept
+    /// equal to `conn.next_deadline()` after every interaction. Filed
+    /// entries whose time differs from this are stale and are discarded
+    /// when popped.
     armed: Option<SimTime>,
     /// `None` while the entry is checked out for processing. Boxed so the
     /// check-out/check-in dance per segment moves one pointer, not the
@@ -282,7 +282,7 @@ struct Occupant {
     entry: Option<Box<ConnEntry>>,
 }
 
-/// Payload of a per-stack timer-wheel entry.
+/// Payload of a per-stack timer entry.
 #[derive(Debug, Clone, Copy)]
 enum StackTimer {
     /// A connection's earliest TCP deadline, referenced by
@@ -317,29 +317,22 @@ pub struct TcpStack {
     listeners: BTreeMap<u16, AppFactory>,
     replicated: BTreeMap<u16, ReplicatedPortConfig>,
     /// Connection slab: slots are recycled through `free_slots` and
-    /// generation-checked so timer-wheel references cannot alias a new
+    /// generation-checked so timer references cannot alias a new
     /// occupant.
     slots: Vec<ConnSlot>,
     free_slots: Vec<u32>,
     /// Flat demux table: packed 64-bit key → slab slot(s).
     demux: IntMap<u64, DemuxSlot>,
     live_conns: usize,
-    /// Per-stack hierarchical timer wheel holding one live entry per
-    /// connection with a deadline, plus the ack-channel flush timer.
-    /// Lazily invalidated: superseded entries stay filed and are
-    /// discarded on pop (the `armed` check). Only [`TcpStack::on_timer`]
-    /// pops it — always bounded by `now` — so the wheel's internal clock
-    /// never outruns simulation time and every future arm files at its
-    /// real tick.
-    timers: TimingWheel<StackTimer>,
-    /// Companion min-heap over the same (lazily invalidated) timer
-    /// entries, answering the exact-min [`TcpStack::next_deadline`] query.
-    /// The wheel cannot answer it: finding a *future* minimum would force
-    /// cascades that advance its clock past the present, after which an
-    /// earlier re-arm files behind the cursor and is never popped again.
-    /// The heap is clock-free and globally `(time, seq)`-ordered, so
-    /// peeking is non-destructive.
-    deadline_index: BinaryHeap<TimerEntry<StackTimer>>,
+    /// The stack's one timer index: a `(time, seq)` min-heap holding one
+    /// live entry per connection with a deadline, plus the ack-channel
+    /// flush timer. Lazily invalidated: superseded entries stay filed and
+    /// are discarded when they reach the top (`timer_is_live`).
+    /// [`TcpStack::on_timer`] pops the due prefix and
+    /// [`TcpStack::next_deadline`] peeks the exact minimum. A clock-free
+    /// heap answers both; a timing wheel cannot peek a *future* minimum
+    /// without cascading its clock past the present.
+    timers: BinaryHeap<TimerEntry<StackTimer>>,
     timer_seq: u64,
     /// Per-remote ephemeral-port recycle state.
     eph: IntMap<u64, EphState>,
@@ -411,8 +404,7 @@ impl TcpStack {
             free_slots: Vec::new(),
             demux: IntMap::default(),
             live_conns: 0,
-            timers: TimingWheel::default(),
-            deadline_index: BinaryHeap::new(),
+            timers: BinaryHeap::new(),
             timer_seq: 0,
             eph: IntMap::default(),
             reassembler: Reassembler::new(),
@@ -452,7 +444,6 @@ impl TcpStack {
         // aggregate across every stack sharing the registry.
         self.c_fastpath_hits = obs.counter("tcp.fastpath.hits");
         self.c_fastpath_misses = obs.counter("tcp.fastpath.misses");
-        self.timers.set_obs_prefixed(&obs, "tcp.timerwheel");
         // Re-wire parked connections in ascending quad order so metric
         // registration order (visible in telemetry dumps) is stable.
         let mut order: Vec<(Quad, u32)> = Vec::with_capacity(self.live_conns);
@@ -633,8 +624,7 @@ impl TcpStack {
         self.demux = IntMap::default();
         self.live_conns = 0;
         self.eph = IntMap::default();
-        self.timers = TimingWheel::default();
-        self.timers.set_obs_prefixed(&self.obs, "tcp.timerwheel");
+        self.timers.clear();
         self.replicated.clear();
         self.out.clear();
         self.events.clear();
@@ -785,7 +775,7 @@ impl TcpStack {
 
     /// Advances all due connection timers to `now`.
     ///
-    /// Cost is `O(due)`, not `O(#connections)`: due timer-wheel entries
+    /// Cost is `O(due · log n)`, not `O(#connections)`: due heap entries
     /// are popped (discarding lazily-invalidated stale ones), and the
     /// matching connections are then ticked in ascending quad order — the
     /// exact set and order the former full scan produced, since a live
@@ -793,30 +783,17 @@ impl TcpStack {
     /// times.
     pub fn on_timer(&mut self, now: SimTime) {
         let mut due: Vec<Quad> = Vec::new();
-        while let Some(e) = self.timers.pop_if_at_or_before(now) {
-            match e.payload {
-                StackTimer::Conn { slot, gen } => {
-                    let Some(s) = self.slots.get_mut(slot as usize) else {
-                        continue;
-                    };
-                    if s.gen != gen {
-                        continue; // slot was recycled: stale
-                    }
-                    let Some(occ) = s.occ.as_mut() else {
-                        continue;
-                    };
-                    if occ.armed != Some(e.time) {
-                        continue; // deadline moved on: stale
-                    }
-                    // Consume the live entry; `finish_entry` re-arms from
-                    // the connection's post-tick deadline.
-                    occ.armed = None;
-                    due.push(occ.quad);
-                }
-                StackTimer::AckFlush => {
-                    // Handled below off `ackchan_flush_at`, which is
-                    // authoritative; the wheel entry is just its alarm.
-                }
+        while let Some(e) = self.timers.peek().filter(|e| e.time <= now) {
+            let live = self.timer_is_live(e);
+            let e = self.timers.pop().expect("peeked");
+            // The flush alarm is handled below off `ackchan_flush_at`,
+            // which is authoritative.
+            if let (true, StackTimer::Conn { slot, .. }) = (live, e.payload) {
+                // Consume the live entry; `finish_entry` re-arms from the
+                // connection's post-tick deadline.
+                let occ = self.slots[slot as usize].occ.as_mut().expect("live");
+                occ.armed = None;
+                due.push(occ.quad);
             }
         }
         due.sort_unstable();
@@ -836,19 +813,17 @@ impl TcpStack {
     /// The earliest timer deadline across all connections, including a
     /// pending ack-channel flush.
     ///
-    /// Amortised `O(1)`: stale entries at the top of the deadline index
-    /// are popped and dropped (each entry is dropped at most once over
-    /// its lifetime); the first live entry — whose time is the exact
-    /// minimum, because every connection keeps a live entry at its
-    /// current deadline — is peeked, not removed. The wheel is left
-    /// untouched: popping it here would advance its clock into the
-    /// future and desynchronize it from simulation time.
+    /// Amortised `O(1)` peeks: stale entries at the top of the heap are
+    /// popped and dropped (each entry is dropped at most once over its
+    /// lifetime); the first live entry — whose time is the exact minimum,
+    /// because every connection keeps a live entry at its current
+    /// deadline — is peeked, not removed.
     pub fn next_deadline(&mut self) -> Option<SimTime> {
-        while let Some(e) = self.deadline_index.peek() {
+        while let Some(e) = self.timers.peek() {
             if self.timer_is_live(e) {
                 return Some(e.time);
             }
-            self.deadline_index.pop();
+            self.timers.pop();
         }
         None
     }
@@ -941,7 +916,7 @@ impl TcpStack {
     }
 
     /// Frees a slot: demux unlinked, generation bumped (invalidating any
-    /// timer-wheel references), ephemeral port returned to the recycle
+    /// timer references), ephemeral port returned to the recycle
     /// list.
     fn free_slot(&mut self, slot: u32) {
         let Some(occ) = self.slots[slot as usize].occ.take() else {
@@ -1008,12 +983,10 @@ impl TcpStack {
         let seq = self.timer_seq;
         self.timer_seq += 1;
         self.timers.push(TimerEntry { time, seq, payload });
-        self.deadline_index.push(TimerEntry { time, seq, payload });
     }
 
-    /// Whether a filed timer entry still refers to a current deadline.
-    /// Both the wheel and the deadline index hold superseded entries;
-    /// this is the shared lazy-invalidation test.
+    /// Whether a filed timer entry still refers to a current deadline —
+    /// the heap's lazy-invalidation test.
     fn timer_is_live(&self, e: &TimerEntry<StackTimer>) -> bool {
         match e.payload {
             StackTimer::Conn { slot, gen } => self
@@ -1026,8 +999,8 @@ impl TcpStack {
         }
     }
 
-    /// Re-files the connection's wheel entry if its deadline changed since
-    /// last armed. The superseded entry (if any) is left in the wheel and
+    /// Re-files the connection's timer entry if its deadline changed since
+    /// last armed. The superseded entry (if any) is left in the heap and
     /// dies as stale on pop.
     fn arm_conn_timer(&mut self, slot: u32) {
         let s = &mut self.slots[slot as usize];
@@ -1245,7 +1218,7 @@ impl TcpStack {
 
     /// Common post-processing after any interaction with a connection:
     /// dispatch events to the application, drain and route outgoing
-    /// segments, reap closed connections, re-arm the timer wheel.
+    /// segments, reap closed connections, re-arm the timer heap.
     fn finish_entry(&mut self, quad: Quad, mut entry: Box<ConnEntry>, now: SimTime) {
         // Event/application loop: app actions may produce more events. The
         // iteration cap is a runaway-app backstop; hitting it is counted
@@ -1452,8 +1425,8 @@ impl TcpStack {
     /// zero — always (the paper's per-segment behaviour, used as the
     /// reference arm in equivalence tests).
     ///
-    /// The flush timer rides the stack's timer wheel like any connection
-    /// deadline; `ackchan_flush_at` stays authoritative and orphaned wheel
+    /// The flush timer rides the stack's timer heap like any connection
+    /// deadline; `ackchan_flush_at` stays authoritative and orphaned heap
     /// entries die as stale.
     fn queue_ack_report(
         &mut self,

@@ -491,6 +491,127 @@ fn ackchan_stale_predecessor_drops_pending_at_flush() {
     assert_eq!(s.stats().ackchan_tx, 1, "only the SYN report ever left");
 }
 
+/// Feeds raw ack-channel payload bytes to `stack` as a datagram from its
+/// chain successor.
+fn deliver_ack_frame(stack: &mut TcpStack, payload: &[u8], now: SimTime) {
+    let dgram = UdpDatagram {
+        src_port: ACK_CHANNEL_PORT,
+        dst_port: ACK_CHANNEL_PORT,
+        payload: payload.to_vec(),
+    };
+    let packet = hydranet_netsim::packet::IpPacket::new(
+        PRED_ADDR,
+        B_ADDR,
+        hydranet_netsim::packet::Protocol::UDP,
+        dgram.encode(),
+    );
+    stack.handle_packet(packet, now);
+}
+
+/// One-defect variants of the well-formed frames carrying `msg`: trailing
+/// byte, truncation, count mismatch, zero count, unknown tag, empty.
+fn malformed_frames(msg: AckChanMsg) -> Vec<Vec<u8>> {
+    let mut batch = Vec::new();
+    AckChanMsg::encode_batch_into(&[msg], &mut batch);
+    let mut long_single = msg.encode();
+    long_single.push(0);
+    let mut short_single = msg.encode();
+    short_single.pop();
+    let mut long_batch = batch.clone();
+    long_batch.push(0);
+    let mut miscount = batch.clone();
+    miscount[1] = 2;
+    let mut zero = batch.clone();
+    zero[1] = 0;
+    let mut bad_tag = batch.clone();
+    bad_tag[0] = 0xA3;
+    vec![
+        long_single,
+        short_single,
+        long_batch,
+        batch[..batch.len() - 1].to_vec(),
+        miscount,
+        zero,
+        bad_tag,
+        Vec::new(),
+    ]
+}
+
+#[test]
+fn malformed_ack_channel_frames_are_dropped_without_moving_gates() {
+    let rx = Rc::new(RefCell::new(Vec::new()));
+    let handle = rx.clone();
+    let mut s = TcpStack::new(B_ADDR, TcpConfig::default());
+    s.listen(80, move |_q| {
+        Box::new(CollectApp::new(handle.clone(), false))
+    });
+    s.setportopt(
+        80,
+        ReplicatedPortConfig {
+            mode: ReplicaMode::Primary,
+            predecessor: None,
+            has_successor: true,
+            detector: DetectorParams::DEFAULT,
+        },
+        SimTime::ZERO,
+    );
+    let now = SimTime::from_millis(1);
+    let quad = Quad::new(
+        SockAddr::new(B_ADDR, 80),
+        SockAddr::new(A_ADDR, CLIENT_PORT),
+    );
+    let report = |ack: u32| AckChanMsg {
+        client: quad.remote,
+        service: quad.local,
+        seq: deterministic_iss(quad) + 1,
+        ack: SeqNum::new(ack),
+    };
+    let assert_all_dropped = |s: &mut TcpStack, msg: AckChanMsg| {
+        let before = *s.stats();
+        let frames = malformed_frames(msg);
+        for frame in &frames {
+            deliver_ack_frame(s, frame, now);
+        }
+        assert_eq!(s.stats().dropped, before.dropped + frames.len() as u64);
+        assert_eq!(s.stats().ackchan_rx, before.ackchan_rx);
+    };
+
+    // Send gate: the SYN-ACK waits for the successor's report.
+    deliver_syn(&mut s, now);
+    assert!(s.take_packets().is_empty(), "SYN-ACK must wait on the gate");
+    assert_all_dropped(&mut s, report(CLIENT_ISS + 1));
+    assert!(
+        s.take_packets().is_empty(),
+        "malformed frame raised the send gate"
+    );
+    deliver_ack_frame(&mut s, &report(CLIENT_ISS + 1).encode(), now);
+    assert_eq!(s.stats().ackchan_rx, 1);
+    assert_eq!(
+        s.take_packets().len(),
+        1,
+        "well-formed report releases the SYN-ACK"
+    );
+
+    // Deposit gate: 100 client bytes stay staged until the successor acks.
+    deliver_data(&mut s, 0, now);
+    s.take_packets();
+    assert!(rx.borrow().is_empty());
+    assert_all_dropped(&mut s, report(CLIENT_ISS + 101));
+    assert!(
+        rx.borrow().is_empty(),
+        "malformed frame raised the deposit gate"
+    );
+    let mut batch = Vec::new();
+    AckChanMsg::encode_batch_into(&[report(CLIENT_ISS + 101)], &mut batch);
+    deliver_ack_frame(&mut s, &batch, now);
+    assert_eq!(s.stats().ackchan_rx, 2);
+    assert_eq!(
+        rx.borrow().len(),
+        100,
+        "well-formed report releases the data"
+    );
+}
+
 #[test]
 fn ephemeral_exhaustion_is_recoverable_and_ports_recycle() {
     let (mut sim, a, _b) = pair();
