@@ -1,115 +1,89 @@
-//! Wall-clock performance of the multicast data path, measured in *real*
-//! time rather than simulated time, at two levels:
+//! Wall-clock performance of the simulator and the multicast data path,
+//! measured in *real* time rather than simulated time. Every number is a
+//! [`Record`] (see `hydranet_bench::record`): the run prints the records
+//! section by section, pairs them with the committed baseline, writes them
+//! to `BENCH_perf.json` and applies every gate with one `check`.
 //!
-//! 1. **End-to-end**: the fig4 `ttcp` scenario at chain lengths 1–4 —
-//!    events/sec (simulator events per wall-clock second) and receiver
-//!    goodput per wall-clock second. Dominated by event-queue and dispatch
-//!    overhead, so it bounds any *regression* from the buffer work more
-//!    than it exhibits the win.
-//! 2. **Redirector hot loop**: `RedirectorEngine::process` driven
-//!    directly, no simulator — packets/sec and forwarded payload bytes/sec
-//!    through the N-replica multicast path. This is where the paper's own
-//!    bottleneck lives (its Figure 6 measures redirector forwarding
-//!    overhead) and where per-replica encode/copy costs show up
-//!    undiluted.
-//!
-//! 3. **Event-calendar microbench**: timer-churn workloads driven straight
-//!    through `Simulator::run_until` — one with heavy pending
-//!    cancellations (tombstone pops), one that cancels only already-fired
-//!    timers (the historical `cancelled_timers` leak). Each runs on both
-//!    calendar backends (binary heap and hierarchical timing wheel), plus
-//!    a fig4 end-to-end pair, so the wheel's win is measured on the same
-//!    machine in the same run. Bare names are the heap (matching older
-//!    baselines); `_wheel` suffixes are the wheel.
-//! 4. **Parallel runner**: the seed-sweep workload at 1/2/4 threads —
-//!    aggregate events/sec and speedup through the experiment engine
-//!    (`hydranet_bench::runner`). Speedup is hardware-bound: on a 1-CPU
-//!    host it stays ~1.0x by construction.
-//! 5. **Event attribution**: the fig4 chain-2 transfer re-run with the
-//!    [`EventProfiler`](hydranet_netsim::profile) on — per-subsystem event
-//!    counts and wall-clock share (tcp data / acks / ack channel / timers /
-//!    mgmt / redirector), recorded as a table in `BENCH_perf.json`.
-//! 6. **Tracing overhead**: the fig4 wheel workload re-run with the causal
-//!    tracer *enabled* (informational, same-run pair), plus a ratcheted
-//!    guard that tracing *disabled* — the shipping default — costs ≤ 1%
-//!    events/sec on the fig4 calendar pair vs the committed baseline.
-//! 7. **Many-flow stack microbench**: the two data structures the TCP
-//!    stack replaced for the 10k-flow regime, measured before-vs-after in
-//!    the same run at a 10,000-connection population — demux lookup
+//! 1. **End-to-end** (`chain 1`..`chain 4`, layer `e2e`): the fig4 `ttcp`
+//!    transfer at chain lengths 1–4, simulator events per wall-clock
+//!    second. Gated at the `--ratchet` threshold.
+//! 2. **Redirector hot loop** (`rd_chain 1`..`rd_chain 4`, layer
+//!    `redirect`): `RedirectorEngine::process` driven directly, no
+//!    simulator — packets/sec through the N-replica multicast path, where
+//!    the paper's own bottleneck lives (its Figure 6 measures redirector
+//!    forwarding overhead). Gated at the `--ratchet` threshold.
+//! 3. **Event calendar** (layer `netsim`): timer-churn workloads driven
+//!    straight through `Simulator::run_until` — heavy pending
+//!    cancellations, and cancels of already-fired timers — on both
+//!    calendar backends (bare names are the heap, `_wheel` the wheel), and
+//!    the fig4 chain-2 transfer on each (`fig4_e2e`, `fig4_e2e_wheel`).
+//!    Those two carry the tracing layer's contract: compiled in but
+//!    disabled, it may cost at most 1% events/sec, so they are gated at
+//!    0.99 whenever `--ratchet` is set. `fig4_e2e_wheel_traced` (layer
+//!    `obs`) runs the tracer live and is reported against the untraced
+//!    run; `fig4_small16` (layer `tcp`) writes 16 bytes at a time, the
+//!    small-buffer regime, and is gated at the `--ratchet` threshold.
+//! 4. **Many-flow stack microbench** (layer `tcp`): the two data
+//!    structures the TCP stack replaced for the 10k-flow regime, before
+//!    and after in the same run at 10,000 connections — demux lookup
 //!    (`BTreeMap<Quad, _>` walk vs packed-quad flat-map probe) and timer
-//!    dispatch (full deadline scan over every connection vs the stack's
-//!    lazily-invalidated deadline-heap pop). The after/before speedups are
-//!    pinned: the run
-//!    fails if either drops below 2x, so the scaling win is a regression
-//!    gate, not a claim.
+//!    dispatch (full deadline scan vs the stack's lazily-invalidated
+//!    deadline heap). The speedups `demux_flat_over_btreemap` and
+//!    `timer_heap_over_fullscan` must stay at least 2x on every run.
+//! 5. **Event attribution** (layer `attribution`): the fig4 chain-2
+//!    transfer with the [`EventProfiler`](hydranet_netsim::profile) on —
+//!    wall milliseconds per subsystem over its `n` events.
+//!
+//! Every gate on a baseline ratio is host-speed-normalized (FNV probe,
+//! record `host_speed`), and a record it gates must have a baseline value.
 //!
 //! Usage:
 //!
 //! ```text
-//! perf --save-baseline     # record crates/bench/data/perf_baseline.json
-//! perf                     # measure, pair with the saved baseline, write
-//!                          # BENCH_perf.json (before/after + ratios)
-//! perf --smoke             # quick CI variant (small transfer, best of 5)
-//! perf --require-baseline  # fail (exit 1) instead of continuing without
-//!                          # a baseline file — CI uses this so a missing
-//!                          # baseline is loud, not silent
-//! perf --ratchet 0.95      # fail (exit 1) if any end-to-end
-//!                          # events_per_sec ratio or redirector
-//!                          # packets_per_sec ratio vs the baseline falls
-//!                          # below the threshold — the CI perf ratchet.
-//!                          # Ratios are normalized by a host-speed
-//!                          # calibration, and a below-threshold pass is
-//!                          # re-measured up to twice so only persistent
-//!                          # regressions fail the gate
+//! perf --save-baseline  # write crates/bench/data/perf_baseline.json
+//! perf                  # measure, pair with the baseline, write
+//!                       # BENCH_perf.json
+//! perf --smoke          # quick CI variant (small transfer, best of 5),
+//!                       # paired with perf_baseline_smoke.json
+//! perf --ratchet 0.95   # fail (exit 1) if a gate fails; a failing run
+//!                       # re-measures every baseline-gated record up to
+//!                       # twice, so only persistent regressions fail
 //! ```
-//!
-//! Every run prints a table; the default mode writes `BENCH_perf.json` in
-//! the current directory so the perf trajectory is recorded per PR.
 
 use std::collections::VecDeque;
 use std::hint::black_box;
 use std::time::Instant;
 
-use hydranet_bench::ablations::{build_star, build_star_with, service};
-use hydranet_bench::render_table;
-use hydranet_bench::sweep::{run_seed_sweep, total_events, SweepConfig};
+use hydranet_bench::ablations::{build_star_with, service, Star};
+use hydranet_bench::record::{self, Gate, Record};
 use hydranet_core::prelude::*;
 use hydranet_netsim::node::{Context as NetCtx, IfaceId as NetIface, Node, TimerId, TimerToken};
-use hydranet_netsim::profile::CategoryStats;
 use hydranet_netsim::topology::TopologyBuilder;
 use hydranet_netsim::wheel::CalendarKind;
-use hydranet_obs::json::{push_f64, push_string, push_u64};
 use hydranet_redirect::redirector::RedirectorEngine;
 use hydranet_redirect::table::ServiceEntry;
 use hydranet_tcp::segment::{TcpFlags, TcpSegment};
 use hydranet_tcp::seq::SeqNum;
 
+const BENCH: &str = "perf";
 const SEED: u64 = 11;
 const CHAINS: [usize; 4] = [1, 2, 3, 4];
 /// The tracing layer's contract: compiled in but *disabled* (the shipping
 /// default), it may cost at most 1% events/sec on the end-to-end event
-/// loop. Enforced whenever `--ratchet` is set, on the fig4 calendar pair,
-/// host-speed-normalized and re-measured like every other gated ratio.
+/// loop. Gated whenever `--ratchet` is set, on the fig4 calendar pair.
 const TRACING_OFF_MIN_RATIO: f64 = 0.99;
-/// Calendar workloads the tracing-disabled guard applies to: the real
-/// end-to-end event mix on both backends (the synthetic churn workloads
-/// never touch the traced subsystems).
-const TRACING_OFF_GUARDED: [&str; 2] = ["fig4_e2e", "fig4_e2e_wheel"];
 /// Per-packet application payload in the hot-loop bench: a full MSS, the
 /// steady-state segment size of a bulk `ttcp` transfer.
 const RD_PAYLOAD: usize = 1460;
-
-/// One measured configuration (best-of-`iters` wall clock).
-#[derive(Debug, Clone)]
-struct PerfPoint {
-    chain: usize,
-    wall_secs: f64,
-    events: u64,
-    events_per_sec: f64,
-    goodput_wall_mbps: f64,
-    sim_throughput_kbps: f64,
-    completed: bool,
-}
+/// Connection population for the stack microbenches — the scale regime the
+/// slab/flat-map/timer-heap refactor targets.
+const MICRO_FLOWS: usize = 10_000;
+/// Pinned minimum speedup of the flat-map demux over the `BTreeMap` it
+/// replaced, at [`MICRO_FLOWS`] connections.
+const DEMUX_MIN_RATIO: f64 = 2.0;
+/// Pinned minimum speedup of heap-driven timer dispatch over the
+/// full-deadline-scan it replaced, at [`MICRO_FLOWS`] connections.
+const TIMER_MIN_RATIO: f64 = 2.0;
 
 /// Measurement knobs (shrunk by `--smoke` for CI).
 #[derive(Debug, Clone, Copy)]
@@ -119,24 +93,121 @@ struct PerfConfig {
     iters: usize,
     /// Timer fires per calendar-microbench run.
     cal_fires: u64,
-    /// Seeds in the runner speedup workload.
-    runner_seeds: u64,
 }
 
-/// One measured hot-loop configuration (best-of-`iters` wall clock).
-#[derive(Debug, Clone)]
-struct RdPoint {
-    chain: usize,
-    wall_secs: f64,
-    packets: u64,
-    packets_per_sec: f64,
-    goodput_wall_mbps: f64,
+/// Wall seconds `f` takes (floored at 1 ns) and its result.
+fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
+    let started = Instant::now();
+    let out = f();
+    (started.elapsed().as_secs_f64().max(1e-9), out)
 }
+
+/// The best of `iters` samples. Each `sample` call sets up its own state,
+/// times only the region under test and returns `(wall_secs, ops)`; the
+/// record's value is the fastest sample's ops per second.
+fn best_of(
+    name: impl Into<String>,
+    layer: &str,
+    unit: &str,
+    iters: usize,
+    mut sample: impl FnMut() -> (f64, u64),
+) -> Record {
+    let mut best = (f64::MAX, 0u64);
+    for _ in 0..iters {
+        let s = sample();
+        if s.0 < best.0 {
+            best = s;
+        }
+    }
+    Record::new(
+        BENCH,
+        name,
+        layer,
+        unit,
+        best.1 as f64 / best.0,
+        iters as u64,
+    )
+}
+
+// ----------------------------------------------------------------------
+// fig4 ttcp transfers
+// ----------------------------------------------------------------------
+
+/// One fig4 `ttcp` transfer: the star it runs on and the bytes it moves.
+#[derive(Debug, Clone, Copy)]
+struct Fig4 {
+    chain: usize,
+    calendar: CalendarKind,
+    write_size: usize,
+    total_bytes: usize,
+    /// Whether the causal tracer runs live.
+    traced: bool,
+}
+
+fn fig4(
+    chain: usize,
+    calendar: CalendarKind,
+    write_size: usize,
+    total_bytes: usize,
+    traced: bool,
+) -> Fig4 {
+    Fig4 {
+        chain,
+        calendar,
+        write_size,
+        total_bytes,
+        traced,
+    }
+}
+
+impl Fig4 {
+    /// Builds and converges the star (not part of any timed region: the
+    /// hot loop under test is the steady-state data path).
+    fn build(self) -> Star {
+        let star = build_star_with(
+            self.chain,
+            DetectorParams::DEFAULT,
+            false,
+            SEED,
+            self.calendar,
+        );
+        if self.traced {
+            star.system.enable_tracing(16_384);
+        }
+        star
+    }
+
+    /// Runs the transfer on a built star and returns the events it took.
+    fn run(self, star: &mut Star) -> u64 {
+        let ttcp = TtcpConfig {
+            total_bytes: self.total_bytes,
+            write_size: self.write_size,
+            deadline: SimTime::from_secs(120),
+        };
+        let sink = star.sinks[0].clone();
+        let events_before = star.system.sim.stats().events_processed;
+        let result = run_ttcp(&mut star.system, star.client, service(), &sink, &ttcp);
+        assert!(result.completed, "fig4 transfer must complete: {self:?}");
+        star.system.sim.stats().events_processed - events_before
+    }
+
+    /// Best-of-`iters` events per wall-clock second of the transfer.
+    fn measure(self, name: impl Into<String>, layer: &str, iters: usize) -> Record {
+        best_of(name, layer, "events/s", iters, || {
+            let mut star = self.build();
+            timed(|| self.run(&mut star))
+        })
+    }
+}
+
+// ----------------------------------------------------------------------
+// Redirector hot loop
+// ----------------------------------------------------------------------
 
 /// Builds a redirector engine with an `n`-member fault-tolerant chain and
 /// pushes MSS-sized TCP packets through [`RedirectorEngine::process`],
 /// measuring the multicast fast path with no simulator around it.
-fn measure_redirector(chain: usize, cfg: PerfConfig) -> RdPoint {
+fn measure_redirector(chain: usize, cfg: PerfConfig) -> Record {
     use hydranet_netsim::node::IfaceId;
     use hydranet_netsim::packet::{IpPacket, Protocol};
     use hydranet_netsim::routing::Prefix;
@@ -169,35 +240,24 @@ fn measure_redirector(chain: usize, cfg: PerfConfig) -> RdPoint {
     let template = IpPacket::new(client, svc.addr, Protocol::TCP, seg.encode());
 
     let packets = cfg.rd_packets as u64;
-    let mut best: Option<RdPoint> = None;
-    for _ in 0..cfg.iters {
+    let name = format!("rd_chain {chain}");
+    let record = best_of(name, "redirect", "packets/s", cfg.iters, || {
         let mut out = Vec::with_capacity(chain);
-        let started = Instant::now();
-        for _ in 0..packets {
-            out.clear();
-            let _ = engine.process(template.clone(), SimTime::ZERO, &mut out);
-            black_box(&out);
-        }
-        let wall_secs = started.elapsed().as_secs_f64().max(1e-9);
-        let point = RdPoint {
-            chain,
-            wall_secs,
-            packets,
-            packets_per_sec: packets as f64 / wall_secs,
-            goodput_wall_mbps: (packets as usize * RD_PAYLOAD) as f64 / wall_secs / 1e6,
-        };
-        let better = best.as_ref().is_none_or(|b| point.wall_secs < b.wall_secs);
-        if better {
-            best = Some(point);
-        }
-    }
-    let best = best.expect("at least one iteration");
+        timed(|| {
+            for _ in 0..packets {
+                out.clear();
+                let _ = engine.process(template.clone(), SimTime::ZERO, &mut out);
+                black_box(&out);
+            }
+            packets
+        })
+    });
     assert_eq!(
         engine.stats().copies,
         packets * chain as u64 * cfg.iters as u64,
         "every packet must be multicast to the full chain"
     );
-    best
+    record
 }
 
 // ----------------------------------------------------------------------
@@ -296,13 +356,21 @@ impl Node for TimerChurn {
     }
 }
 
-/// One measured calendar workload (best-of-`iters` wall clock).
-#[derive(Debug, Clone)]
-struct CalPoint {
-    name: String,
-    wall_secs: f64,
-    events: u64,
-    events_per_sec: f64,
+fn measure_calendar(mode: ChurnMode, kind: CalendarKind, cfg: PerfConfig) -> Record {
+    let name = format!("{}{}", mode.name(), kind_suffix(kind));
+    best_of(name, "netsim", "events/s", cfg.iters, || {
+        let mut t = TopologyBuilder::new();
+        t.add_node(TimerChurn::new(mode, cfg.cal_fires), NodeParams::INSTANT);
+        let mut sim = t.into_simulator(SEED);
+        sim.set_calendar(kind);
+        let (wall, ()) = timed(|| sim.run_until(SimTime::from_secs(3_600)));
+        assert!(
+            sim.stats().timers_fired >= cfg.cal_fires,
+            "churn chain ended early: {} fires",
+            sim.stats().timers_fired
+        );
+        (wall, sim.stats().events_processed)
+    })
 }
 
 /// Suffix distinguishing the calendar backends in workload names. The heap
@@ -315,154 +383,71 @@ fn kind_suffix(kind: CalendarKind) -> &'static str {
     }
 }
 
-fn measure_calendar(mode: ChurnMode, kind: CalendarKind, cfg: PerfConfig) -> CalPoint {
-    let name = format!("{}{}", mode.name(), kind_suffix(kind));
-    let mut best: Option<CalPoint> = None;
-    for _ in 0..cfg.iters {
-        let mut t = TopologyBuilder::new();
-        t.add_node(TimerChurn::new(mode, cfg.cal_fires), NodeParams::INSTANT);
-        let mut sim = t.into_simulator(SEED);
-        sim.set_calendar(kind);
-        let started = Instant::now();
-        sim.run_until(SimTime::from_secs(3_600));
-        let wall_secs = started.elapsed().as_secs_f64().max(1e-9);
-        let events = sim.stats().events_processed;
-        assert!(
-            sim.stats().timers_fired >= cfg.cal_fires,
-            "churn chain ended early: {} fires",
-            sim.stats().timers_fired
-        );
-        let point = CalPoint {
-            name: name.clone(),
-            wall_secs,
-            events,
-            events_per_sec: events as f64 / wall_secs,
-        };
-        let better = best.as_ref().is_none_or(|b| point.wall_secs < b.wall_secs);
-        if better {
-            best = Some(point);
-        }
-    }
-    best.expect("at least one iteration")
+// ----------------------------------------------------------------------
+// Gated and reported measurements
+// ----------------------------------------------------------------------
+
+/// One perf measurement, re-runnable by the ratchet's retry.
+#[derive(Debug, Clone, Copy)]
+enum Probe {
+    /// `chain N`: the fig4 transfer at chain length N.
+    Chain(usize),
+    /// `rd_chain N`: the redirector hot loop at chain length N.
+    Redirector(usize),
+    /// Timer churn on one calendar backend.
+    Churn(ChurnMode, CalendarKind),
+    /// `fig4_e2e[_wheel][_traced]`: the fig4 chain-2 transfer as a calendar
+    /// workload — the real event mix (packet arrivals, link dequeues,
+    /// RTO/delayed-ack timers) — optionally with the tracer live.
+    Fig4Calendar(CalendarKind, bool),
+    /// `fig4_small16`: the fig4 chain-2 transfer written 16 bytes at a
+    /// time, so every connection lives in the small-buffer regime the
+    /// grow-on-demand buffers were shrunk for.
+    Small16,
 }
 
-/// The fig4 chain-2 transfer as a calendar workload: unlike the synthetic
-/// timer churn, this is the real event mix (packet arrivals, link
-/// dequeues, RTO/delayed-ack timers) the wheel has to win on. With
-/// `traced` the causal tracer runs live (`_traced` name suffix) — the
-/// same-run pair against the untraced point prices tracing *enabled*;
-/// tracing *disabled* is priced against the committed baseline instead,
-/// since its only cost is the branch left in the hot path.
-fn measure_fig4_calendar(kind: CalendarKind, traced: bool, cfg: PerfConfig) -> CalPoint {
-    let name = format!(
-        "fig4_e2e{}{}",
-        kind_suffix(kind),
-        if traced { "_traced" } else { "" }
-    );
-    let mut best: Option<CalPoint> = None;
-    for _ in 0..cfg.iters {
-        let mut star = build_star_with(2, DetectorParams::DEFAULT, false, SEED, kind);
-        if traced {
-            star.system.enable_tracing(16_384);
-        }
-        let ttcp = TtcpConfig {
-            total_bytes: cfg.total_bytes,
-            write_size: 1024,
-            deadline: SimTime::from_secs(120),
-        };
-        let sink = star.sinks[0].clone();
-        let events_before = star.system.sim.stats().events_processed;
-        let started = Instant::now();
-        let result = run_ttcp(&mut star.system, star.client, service(), &sink, &ttcp);
-        let wall_secs = started.elapsed().as_secs_f64().max(1e-9);
-        assert!(result.completed, "fig4 calendar workload must complete");
-        let events = star.system.sim.stats().events_processed - events_before;
-        let point = CalPoint {
-            name: name.clone(),
-            wall_secs,
-            events,
-            events_per_sec: events as f64 / wall_secs,
-        };
-        let better = best.as_ref().is_none_or(|b| point.wall_secs < b.wall_secs);
-        if better {
-            best = Some(point);
+impl Probe {
+    fn measure(self, cfg: PerfConfig) -> Record {
+        match self {
+            Probe::Chain(n) => fig4(n, CalendarKind::Wheel, 1024, cfg.total_bytes, false).measure(
+                format!("chain {n}"),
+                "e2e",
+                cfg.iters,
+            ),
+            Probe::Redirector(n) => measure_redirector(n, cfg),
+            Probe::Churn(mode, kind) => measure_calendar(mode, kind, cfg),
+            Probe::Fig4Calendar(kind, traced) => {
+                let name = format!(
+                    "fig4_e2e{}{}",
+                    kind_suffix(kind),
+                    if traced { "_traced" } else { "" }
+                );
+                let layer = if traced { "obs" } else { "netsim" };
+                fig4(2, kind, 1024, cfg.total_bytes, traced).measure(name, layer, cfg.iters)
+            }
+            Probe::Small16 => fig4(2, CalendarKind::Wheel, 16, cfg.total_bytes / 16, false)
+                .measure("fig4_small16", "tcp", cfg.iters),
         }
     }
-    best.expect("at least one iteration")
-}
 
-/// The cold-start stress point: a fig4 chain-2 transfer written 16 bytes
-/// at a time, so every connection spends its life in the small-buffer
-/// regime the grow-on-demand buffers were shrunk for. Guarded by the
-/// ratchet so lean-memory work can never quietly tax tiny writes.
-fn measure_fig4_small(cfg: PerfConfig) -> CalPoint {
-    let name = "fig4_small16".to_string();
-    let mut best: Option<CalPoint> = None;
-    for _ in 0..cfg.iters {
-        let mut star =
-            build_star_with(2, DetectorParams::DEFAULT, false, SEED, CalendarKind::Wheel);
-        let ttcp = TtcpConfig {
-            total_bytes: cfg.total_bytes / 16,
-            write_size: 16,
-            deadline: SimTime::from_secs(120),
+    /// The gate under `--ratchet min` (`None` without it).
+    fn gate(self, ratchet: Option<f64>) -> Option<Gate> {
+        let min = match self {
+            Probe::Chain(_) | Probe::Redirector(_) | Probe::Small16 => ratchet?,
+            Probe::Fig4Calendar(_, false) => ratchet.and(Some(TRACING_OFF_MIN_RATIO))?,
+            Probe::Churn(..) | Probe::Fig4Calendar(_, true) => return None,
         };
-        let sink = star.sinks[0].clone();
-        let events_before = star.system.sim.stats().events_processed;
-        let started = Instant::now();
-        let result = run_ttcp(&mut star.system, star.client, service(), &sink, &ttcp);
-        let wall_secs = started.elapsed().as_secs_f64().max(1e-9);
-        assert!(result.completed, "small-write workload must complete");
-        let events = star.system.sim.stats().events_processed - events_before;
-        let point = CalPoint {
-            name: name.clone(),
-            wall_secs,
-            events,
-            events_per_sec: events as f64 / wall_secs,
-        };
-        let better = best.as_ref().is_none_or(|b| point.wall_secs < b.wall_secs);
-        if better {
-            best = Some(point);
-        }
+        Some(Gate::Normalized { min })
     }
-    best.expect("at least one iteration")
 }
 
 // ----------------------------------------------------------------------
 // Many-flow stack microbench (demux + timers at 10k connections)
 // ----------------------------------------------------------------------
 
-/// Connection population for the stack microbenches — the scale regime the
-/// slab/flat-map/timer-heap refactor targets.
-const MICRO_FLOWS: usize = 10_000;
-/// Pinned minimum speedup of the flat-map demux over the `BTreeMap` it
-/// replaced, at [`MICRO_FLOWS`] connections.
-const DEMUX_MIN_RATIO: f64 = 2.0;
-/// Pinned minimum speedup of heap-driven timer dispatch over the
-/// full-deadline-scan it replaced, at [`MICRO_FLOWS`] connections.
-const TIMER_MIN_RATIO: f64 = 2.0;
-
-/// One measured microbench workload (best-of-`iters` wall clock).
-#[derive(Debug, Clone)]
-struct MicroPoint {
-    name: &'static str,
-    wall_secs: f64,
-    ops: u64,
-    ops_per_sec: f64,
-}
-
-fn micro_point(name: &'static str, iters: usize, ops: u64, mut run: impl FnMut()) -> MicroPoint {
-    let mut best = f64::MAX;
-    for _ in 0..iters {
-        let started = Instant::now();
-        run();
-        best = best.min(started.elapsed().as_secs_f64().max(1e-9));
-    }
-    MicroPoint {
-        name,
-        wall_secs: best,
-        ops,
-        ops_per_sec: ops as f64 / best,
-    }
+/// Best-of-`iters` ops/sec of `run`, which performs `ops` operations.
+fn micro(name: &str, iters: usize, ops: u64, mut run: impl FnMut()) -> Record {
+    best_of(name, "tcp", "ops/s", iters, || (timed(&mut run).0, ops))
 }
 
 /// The connection population both demux variants index: distinct quads in
@@ -493,7 +478,7 @@ fn micro_demux_key(q: &Quad) -> u64 {
 /// `BTreeMap<Quad, _>` versus the packed-quad flat map the stack now uses.
 /// Lookup order is a seed-fixed shuffle — neither structure gets to stream
 /// its keys in order.
-fn measure_demux_micro(cfg: PerfConfig) -> (MicroPoint, MicroPoint) {
+fn measure_demux_micro(cfg: PerfConfig) -> (Record, Record) {
     use hydranet_netsim::hash::IntMap;
     use hydranet_netsim::rng::SimRng;
     use std::collections::BTreeMap;
@@ -514,7 +499,7 @@ fn measure_demux_micro(cfg: PerfConfig) -> (MicroPoint, MicroPoint) {
         .map(|_| rng.range(0, MICRO_FLOWS as u64) as u32)
         .collect();
 
-    let before = micro_point("demux_btreemap", cfg.iters, lookups.len() as u64, || {
+    let before = micro("demux_btreemap", cfg.iters, lookups.len() as u64, || {
         let mut hits = 0u64;
         for &i in &lookups {
             if btree.contains_key(&quads[i as usize]) {
@@ -524,7 +509,7 @@ fn measure_demux_micro(cfg: PerfConfig) -> (MicroPoint, MicroPoint) {
         assert_eq!(hits, lookups.len() as u64);
         black_box(hits);
     });
-    let after = micro_point("demux_flatmap", cfg.iters, lookups.len() as u64, || {
+    let after = micro("demux_flatmap", cfg.iters, lookups.len() as u64, || {
         let mut hits = 0u64;
         for &i in &lookups {
             let q = &quads[i as usize];
@@ -550,7 +535,7 @@ fn measure_demux_micro(cfg: PerfConfig) -> (MicroPoint, MicroPoint) {
 /// before its live one, as a re-armed RTO does, and the heap side discards
 /// it on pop by the same armed-deadline check the stack makes. Deadlines
 /// are a seed-fixed spread so both variants fire the identical schedule.
-fn measure_timer_micro(cfg: PerfConfig) -> (MicroPoint, MicroPoint) {
+fn measure_timer_micro(cfg: PerfConfig) -> (Record, Record) {
     use hydranet_netsim::rng::SimRng;
     use hydranet_netsim::wheel::TimerEntry;
     use std::collections::BinaryHeap;
@@ -561,7 +546,7 @@ fn measure_timer_micro(cfg: PerfConfig) -> (MicroPoint, MicroPoint) {
         .collect();
     let fires = MICRO_FLOWS as u64;
 
-    let before = micro_point("timer_fullscan", cfg.iters, fires, || {
+    let before = micro("timer_fullscan", cfg.iters, fires, || {
         let mut armed: Vec<Option<SimTime>> = deadlines.iter().copied().map(Some).collect();
         let mut fired = 0u64;
         let mut acc = 0u64;
@@ -584,7 +569,7 @@ fn measure_timer_micro(cfg: PerfConfig) -> (MicroPoint, MicroPoint) {
         assert_eq!(fired, fires);
         black_box(acc);
     });
-    let after = micro_point("timer_heap", cfg.iters, fires, || {
+    let after = micro("timer_heap", cfg.iters, fires, || {
         let mut armed: Vec<Option<SimTime>> = deadlines.iter().copied().map(Some).collect();
         let mut heap: BinaryHeap<TimerEntry<u32>> = BinaryHeap::new();
         let mut seq = 0u64;
@@ -616,502 +601,72 @@ fn measure_timer_micro(cfg: PerfConfig) -> (MicroPoint, MicroPoint) {
     (before, after)
 }
 
-fn print_micro_points(points: &[MicroPoint]) {
-    let header = vec![
-        "workload".to_string(),
-        "wall (s)".to_string(),
-        "ops".to_string(),
-        "ops/sec".to_string(),
-    ];
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.name.to_string(),
-                format!("{:.4}", p.wall_secs),
-                p.ops.to_string(),
-                format!("{:.0}", p.ops_per_sec),
-            ]
-        })
-        .collect();
-    println!("{}", render_table(&header, &rows));
+/// Both stack microbenches plus their same-run speedups, each gated at its
+/// pinned minimum on every run.
+fn measure_micro(cfg: PerfConfig) -> Vec<Record> {
+    let (demux_before, demux_after) = measure_demux_micro(cfg);
+    let (timer_before, timer_after) = measure_timer_micro(cfg);
+    let speedup = |name: &str, after: &Record, before: &Record, min: f64| {
+        Record::new(BENCH, name, "tcp", "x", after.value / before.value, after.n)
+            .gated(Some(Gate::SameRun { min }))
+    };
+    vec![
+        speedup(
+            "demux_flat_over_btreemap",
+            &demux_after,
+            &demux_before,
+            DEMUX_MIN_RATIO,
+        ),
+        speedup(
+            "timer_heap_over_fullscan",
+            &timer_after,
+            &timer_before,
+            TIMER_MIN_RATIO,
+        ),
+        demux_before,
+        demux_after,
+        timer_before,
+        timer_after,
+    ]
 }
-
-fn push_micro_point(out: &mut String, p: &MicroPoint) {
-    out.push_str("    {\"micro\": ");
-    push_string(out, p.name);
-    out.push_str(", \"wall_secs\": ");
-    push_f64(out, p.wall_secs);
-    out.push_str(", \"ops\": ");
-    push_u64(out, p.ops);
-    out.push_str(", \"ops_per_sec\": ");
-    push_f64(out, p.ops_per_sec);
-    out.push('}');
-}
-
-// ----------------------------------------------------------------------
-// Per-subsystem event attribution
-// ----------------------------------------------------------------------
 
 /// One fig4 chain-2 transfer with the [`EventProfiler`] on: where do the
 /// simulator's events (and the wall-clock spent processing them) actually
-/// go? Event counts are deterministic; wall shares are this host's.
+/// go? Event counts are deterministic; wall times are this host's.
 ///
 /// [`EventProfiler`]: hydranet_netsim::profile::EventProfiler
-fn measure_attribution(cfg: PerfConfig) -> Vec<(&'static str, CategoryStats)> {
-    let mut star = build_star(2, DetectorParams::DEFAULT, false, SEED);
+fn measure_attribution(cfg: PerfConfig) -> Vec<Record> {
+    let transfer = fig4(2, CalendarKind::Wheel, 1024, cfg.total_bytes, false);
+    let mut star = transfer.build();
     star.system.enable_profiler();
-    let ttcp = TtcpConfig {
-        total_bytes: cfg.total_bytes,
-        write_size: 1024,
-        deadline: SimTime::from_secs(120),
-    };
-    let sink = star.sinks[0].clone();
-    let result = run_ttcp(&mut star.system, star.client, service(), &sink, &ttcp);
-    assert!(result.completed, "attribution workload must complete");
-    star.system.sim.profiler().snapshot()
-}
-
-fn print_attribution(rows_in: &[(&'static str, CategoryStats)]) {
-    let total_events: u64 = rows_in.iter().map(|(_, s)| s.events).sum();
-    let total_wall: u64 = rows_in.iter().map(|(_, s)| s.wall_nanos).sum();
-    let header: Vec<String> = ["subsystem", "events", "events %", "wall ms", "wall %"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    let rows: Vec<Vec<String>> = rows_in
-        .iter()
-        .map(|(name, s)| {
-            vec![
-                name.to_string(),
-                s.events.to_string(),
-                format!(
-                    "{:.1}",
-                    100.0 * s.events as f64 / total_events.max(1) as f64
-                ),
-                format!("{:.2}", s.wall_nanos as f64 / 1e6),
-                format!(
-                    "{:.1}",
-                    100.0 * s.wall_nanos as f64 / total_wall.max(1) as f64
-                ),
-            ]
-        })
-        .collect();
-    println!("{}", render_table(&header, &rows));
-}
-
-// ----------------------------------------------------------------------
-// Parallel runner speedup
-// ----------------------------------------------------------------------
-
-/// One measured runner configuration.
-#[derive(Debug, Clone)]
-struct RunnerPoint {
-    threads: usize,
-    wall_secs: f64,
-    events: u64,
-    events_per_sec: f64,
-    speedup_vs_1: f64,
-}
-
-fn measure_runner(cfg: PerfConfig) -> Vec<RunnerPoint> {
-    let sweep_cfg = SweepConfig {
-        seeds: cfg.runner_seeds,
-        crash_payload: 60_000,
-        lossy_payload: 60_000,
-        lossy_deadline: SimTime::from_secs(15),
-        ..SweepConfig::default()
-    };
-    let mut points = Vec::new();
-    let mut base_wall = None;
-    for threads in [1usize, 2, 4] {
-        let (outcomes, stats) = run_seed_sweep(&sweep_cfg, threads);
-        let events = total_events(&outcomes);
-        let wall_secs = (stats.wall_nanos as f64 / 1e9).max(1e-9);
-        let base = *base_wall.get_or_insert(wall_secs);
-        points.push(RunnerPoint {
-            threads,
-            wall_secs,
-            events,
-            events_per_sec: events as f64 / wall_secs,
-            speedup_vs_1: base / wall_secs,
-        });
-    }
-    points
-}
-
-fn measure_chain(chain: usize, cfg: PerfConfig) -> PerfPoint {
-    let mut best: Option<PerfPoint> = None;
-    for _ in 0..cfg.iters {
-        // Build + convergence excluded: the hot loop under test is the
-        // steady-state data path, not topology setup.
-        let mut star = build_star(chain, DetectorParams::DEFAULT, false, SEED);
-        let ttcp = TtcpConfig {
-            total_bytes: cfg.total_bytes,
-            write_size: 1024,
-            deadline: SimTime::from_secs(120),
-        };
-        let sink = star.sinks[0].clone();
-        let events_before = star.system.sim.stats().events_processed;
-        let started = Instant::now();
-        let result = run_ttcp(&mut star.system, star.client, service(), &sink, &ttcp);
-        let wall_secs = started.elapsed().as_secs_f64().max(1e-9);
-        let events = star.system.sim.stats().events_processed - events_before;
-        let point = PerfPoint {
-            chain,
-            wall_secs,
-            events,
-            events_per_sec: events as f64 / wall_secs,
-            goodput_wall_mbps: result.bytes_received as f64 / wall_secs / 1e6,
-            sim_throughput_kbps: result.throughput_kbps,
-            completed: result.completed,
-        };
-        let better = best.as_ref().is_none_or(|b| point.wall_secs < b.wall_secs);
-        if better {
-            best = Some(point);
-        }
-    }
-    best.expect("at least one iteration")
-}
-
-// ----------------------------------------------------------------------
-// JSON (hand-rolled, no deps) — one point per line so the pairing step
-// can read a baseline back without a full parser.
-// ----------------------------------------------------------------------
-
-fn push_point(out: &mut String, p: &PerfPoint) {
-    out.push_str("    {\"chain\": ");
-    push_u64(out, p.chain as u64);
-    out.push_str(", \"wall_secs\": ");
-    push_f64(out, p.wall_secs);
-    out.push_str(", \"events\": ");
-    push_u64(out, p.events);
-    out.push_str(", \"events_per_sec\": ");
-    push_f64(out, p.events_per_sec);
-    out.push_str(", \"goodput_wall_mbps\": ");
-    push_f64(out, p.goodput_wall_mbps);
-    out.push_str(", \"sim_throughput_kbps\": ");
-    push_f64(out, p.sim_throughput_kbps);
-    out.push_str(", \"completed\": ");
-    out.push_str(if p.completed { "true" } else { "false" });
-    out.push('}');
-}
-
-fn push_rd_point(out: &mut String, p: &RdPoint) {
-    out.push_str("    {\"rd_chain\": ");
-    push_u64(out, p.chain as u64);
-    out.push_str(", \"wall_secs\": ");
-    push_f64(out, p.wall_secs);
-    out.push_str(", \"packets\": ");
-    push_u64(out, p.packets);
-    out.push_str(", \"packets_per_sec\": ");
-    push_f64(out, p.packets_per_sec);
-    out.push_str(", \"goodput_wall_mbps\": ");
-    push_f64(out, p.goodput_wall_mbps);
-    out.push('}');
-}
-
-fn push_cal_point(out: &mut String, p: &CalPoint) {
-    out.push_str("    {\"calendar\": ");
-    push_string(out, &p.name);
-    out.push_str(", \"wall_secs\": ");
-    push_f64(out, p.wall_secs);
-    out.push_str(", \"events\": ");
-    push_u64(out, p.events);
-    out.push_str(", \"events_per_sec\": ");
-    push_f64(out, p.events_per_sec);
-    out.push('}');
-}
-
-fn push_runner_point(out: &mut String, p: &RunnerPoint) {
-    out.push_str("    {\"runner_threads\": ");
-    push_u64(out, p.threads as u64);
-    out.push_str(", \"wall_secs\": ");
-    push_f64(out, p.wall_secs);
-    out.push_str(", \"events\": ");
-    push_u64(out, p.events);
-    out.push_str(", \"events_per_sec\": ");
-    push_f64(out, p.events_per_sec);
-    out.push_str(", \"speedup_vs_1\": ");
-    push_f64(out, p.speedup_vs_1);
-    out.push('}');
-}
-
-/// Product-code-free host-speed calibration: FNV-1a over a fixed buffer,
-/// best of three ~20 ms runs. Wall-clock ratios against a baseline pinned
-/// on different hardware (or the same box in a different throttling state)
-/// conflate host speed with code speed; the ratchet divides ratios by the
-/// host-speed ratio so machine-wide swings cancel while regressions in the
-/// measured code do not.
-fn measure_host_speed() -> f64 {
-    let buf: Vec<u8> = (0..64 * 1024).map(|i| (i % 251) as u8).collect();
-    let mut best = 0.0f64;
-    let mut acc = 0xcbf2_9ce4_8422_2325u64;
-    for _ in 0..3 {
-        let started = Instant::now();
-        for round in 0..400u64 {
-            acc ^= round;
-            for &b in &buf {
-                acc ^= u64::from(b);
-                acc = acc.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
-        let secs = started.elapsed().as_secs_f64().max(1e-9);
-        best = best.max((400 * buf.len() as u64) as f64 / secs);
-    }
-    black_box(acc);
-    best
-}
-
-fn run_json(
-    label: &str,
-    cfg: PerfConfig,
-    host_speed: f64,
-    points: &[PerfPoint],
-    rd_points: &[RdPoint],
-    cal_points: &[CalPoint],
-    runner_points: &[RunnerPoint],
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"label\": ");
-    push_string(&mut out, label);
-    out.push_str(",\n  \"scenario\": ");
-    push_string(
-        &mut out,
-        "fig4 ttcp upstream end-to-end + redirector multicast hot loop, chain lengths 1-4",
-    );
-    out.push_str(",\n  \"total_bytes\": ");
-    push_u64(&mut out, cfg.total_bytes as u64);
-    out.push_str(",\n  \"rd_packets\": ");
-    push_u64(&mut out, cfg.rd_packets as u64);
-    out.push_str(",\n  \"iters\": ");
-    push_u64(&mut out, cfg.iters as u64);
-    out.push_str(",\n  \"host_speed\": ");
-    push_f64(&mut out, host_speed);
-    out.push_str(",\n  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        push_point(&mut out, p);
-        if i + 1 < points.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ],\n  \"redirector_mcast\": [\n");
-    for (i, p) in rd_points.iter().enumerate() {
-        push_rd_point(&mut out, p);
-        if i + 1 < rd_points.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ],\n  \"calendar\": [\n");
-    for (i, p) in cal_points.iter().enumerate() {
-        push_cal_point(&mut out, p);
-        if i + 1 < cal_points.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ],\n  \"runner\": [\n");
-    for (i, p) in runner_points.iter().enumerate() {
-        push_runner_point(&mut out, p);
-        if i + 1 < runner_points.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ]\n}");
-    out
-}
-
-/// Extracts `"key": <number>` from one JSON point line (the format written
-/// by [`push_point`] — this is a pairing convenience, not a JSON parser).
-fn extract_f64(line: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\": ");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// Reads `(chain, events_per_sec, goodput_wall_mbps)` triples back out of a
-/// previously written run document.
-fn baseline_points(doc: &str) -> Vec<(usize, f64, f64)> {
-    doc.lines()
-        .filter(|l| l.contains("\"chain\": ") && !l.contains("\"rd_chain\": "))
-        .filter_map(|l| {
-            Some((
-                extract_f64(l, "chain")? as usize,
-                extract_f64(l, "events_per_sec")?,
-                extract_f64(l, "goodput_wall_mbps")?,
-            ))
-        })
-        .collect()
-}
-
-/// Reads `(chain, packets_per_sec, goodput_wall_mbps)` triples for the
-/// redirector hot-loop section of a previously written run document.
-fn baseline_rd_points(doc: &str) -> Vec<(usize, f64, f64)> {
-    doc.lines()
-        .filter(|l| l.contains("\"rd_chain\": "))
-        .filter_map(|l| {
-            Some((
-                extract_f64(l, "rd_chain")? as usize,
-                extract_f64(l, "packets_per_sec")?,
-                extract_f64(l, "goodput_wall_mbps")?,
-            ))
-        })
-        .collect()
-}
-
-/// Reads `(events_per_sec)` for a named calendar workload back out of a
-/// previously written run document.
-fn baseline_cal_eps(doc: &str, name: &str) -> Option<f64> {
-    let needle = format!("\"calendar\": \"{name}\"");
-    doc.lines()
-        .find(|l| l.contains(&needle))
-        .and_then(|l| extract_f64(l, "events_per_sec"))
-}
-
-/// Reads `(events_per_sec, speedup_vs_1)` for a runner thread count from a
-/// previously written run document.
-fn baseline_runner_point(doc: &str, threads: usize) -> Option<(f64, f64)> {
-    let needle = format!("\"runner_threads\": {threads},");
-    let line = doc.lines().find(|l| l.contains(&needle))?;
-    Some((
-        extract_f64(line, "events_per_sec")?,
-        extract_f64(line, "speedup_vs_1")?,
-    ))
-}
-
-/// Reads the calibration number back out of a previously written run
-/// document (absent in pre-calibration baselines).
-fn baseline_host_speed(doc: &str) -> Option<f64> {
-    doc.lines()
-        .find(|l| l.contains("\"host_speed\": "))
-        .and_then(|l| extract_f64(l, "host_speed"))
-}
-
-/// Smoke and full mode measure different workloads, so each compares
-/// against (and re-pins) its own baseline file — a 64-vs-1024 KiB ratio
-/// would make the ratchet meaningless.
-fn baseline_path(smoke: bool) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("data")
-        .join(if smoke {
-            "perf_baseline_smoke.json"
-        } else {
-            "perf_baseline.json"
-        })
-}
-
-fn print_rd_points(points: &[RdPoint]) {
-    let header = vec![
-        "chain".to_string(),
-        "wall (s)".to_string(),
-        "packets".to_string(),
-        "packets/sec".to_string(),
-        "goodput (MB/s wall)".to_string(),
-    ];
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.chain.to_string(),
-                format!("{:.3}", p.wall_secs),
-                p.packets.to_string(),
-                format!("{:.0}", p.packets_per_sec),
-                format!("{:.2}", p.goodput_wall_mbps),
-            ]
-        })
-        .collect();
-    println!("{}", render_table(&header, &rows));
-}
-
-fn print_points(points: &[PerfPoint]) {
-    let header = vec![
-        "chain".to_string(),
-        "wall (s)".to_string(),
-        "events".to_string(),
-        "events/sec".to_string(),
-        "goodput (MB/s wall)".to_string(),
-        "sim kB/s".to_string(),
-        "completed".to_string(),
-    ];
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.chain.to_string(),
-                format!("{:.3}", p.wall_secs),
-                p.events.to_string(),
-                format!("{:.0}", p.events_per_sec),
-                format!("{:.2}", p.goodput_wall_mbps),
-                format!("{:.1}", p.sim_throughput_kbps),
-                p.completed.to_string(),
-            ]
-        })
-        .collect();
-    println!("{}", render_table(&header, &rows));
-}
-
-fn print_cal_points(points: &[CalPoint]) {
-    let header = vec![
-        "workload".to_string(),
-        "wall (s)".to_string(),
-        "events".to_string(),
-        "events/sec".to_string(),
-    ];
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.name.to_string(),
-                format!("{:.3}", p.wall_secs),
-                p.events.to_string(),
-                format!("{:.0}", p.events_per_sec),
-            ]
-        })
-        .collect();
-    println!("{}", render_table(&header, &rows));
-}
-
-fn print_runner_points(points: &[RunnerPoint]) {
-    let header = vec![
-        "threads".to_string(),
-        "wall (s)".to_string(),
-        "events".to_string(),
-        "events/sec".to_string(),
-        "speedup".to_string(),
-    ];
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.threads.to_string(),
-                format!("{:.3}", p.wall_secs),
-                p.events.to_string(),
-                format!("{:.0}", p.events_per_sec),
-                format!("{:.2}x", p.speedup_vs_1),
-            ]
-        })
-        .collect();
-    println!("{}", render_table(&header, &rows));
+    transfer.run(&mut star);
+    record::attribution(BENCH, &star.system.sim.profiler().snapshot())
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let save_baseline = args.iter().any(|a| a == "--save-baseline");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let require_baseline = args.iter().any(|a| a == "--require-baseline");
-    let ratchet: Option<f64> = args.iter().position(|a| a == "--ratchet").map(|i| {
-        args.get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| {
-                eprintln!("error: --ratchet requires a numeric threshold, e.g. --ratchet 0.95");
+    let mut save_baseline = false;
+    let mut smoke = false;
+    let mut ratchet: Option<f64> = None;
+    let mut i = 0;
+    while i < args.len() {
+        match args[i].as_str() {
+            "--save-baseline" => save_baseline = true,
+            "--smoke" => smoke = true,
+            "--ratchet" => {
+                i += 1;
+                ratchet = Some(args.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+                    eprintln!("error: --ratchet requires a numeric threshold, e.g. --ratchet 0.95");
+                    std::process::exit(2);
+                }));
+            }
+            other => {
+                eprintln!("unknown flag {other} (try --smoke, --save-baseline, --ratchet F)");
                 std::process::exit(2);
-            })
-    });
+            }
+        }
+        i += 1;
+    }
     let cfg = if smoke {
         PerfConfig {
             total_bytes: 256 * 1024,
@@ -1121,7 +676,6 @@ fn main() {
             // bait.
             iters: 5,
             cal_fires: 30_000,
-            runner_seeds: 8,
         }
     } else {
         PerfConfig {
@@ -1129,438 +683,142 @@ fn main() {
             rd_packets: 100_000,
             iters: 9,
             cal_fires: 300_000,
-            runner_seeds: 32,
         }
     };
-
-    if require_baseline && !save_baseline && !baseline_path(smoke).exists() {
-        eprintln!(
-            "error: --require-baseline set but no baseline at {} — run `perf --save-baseline` and commit the file",
-            baseline_path(smoke).display()
-        );
-        std::process::exit(1);
-    }
 
     println!(
         "HydraNet-FT reproduction — wall-clock perf (best of {})\n",
         cfg.iters
     );
-    println!(
-        "fig4 ttcp end-to-end ({} KiB transfer):",
-        cfg.total_bytes / 1024
-    );
-    let points: Vec<PerfPoint> = CHAINS.iter().map(|&n| measure_chain(n, cfg)).collect();
-    print_points(&points);
-    println!(
-        "\nredirector multicast hot loop ({} packets x {} B):",
-        cfg.rd_packets, RD_PAYLOAD
-    );
-    let rd_points: Vec<RdPoint> = CHAINS.iter().map(|&n| measure_redirector(n, cfg)).collect();
-    print_rd_points(&rd_points);
-    println!(
-        "\nevent-calendar microbench ({} timer fires):",
-        cfg.cal_fires
-    );
-    let cal_points = vec![
-        measure_calendar(ChurnMode::PendingCancel, CalendarKind::Heap, cfg),
-        measure_calendar(ChurnMode::StaleCancel, CalendarKind::Heap, cfg),
-        measure_calendar(ChurnMode::PendingCancel, CalendarKind::Wheel, cfg),
-        measure_calendar(ChurnMode::StaleCancel, CalendarKind::Wheel, cfg),
-        measure_fig4_calendar(CalendarKind::Heap, false, cfg),
-        measure_fig4_calendar(CalendarKind::Wheel, false, cfg),
-        measure_fig4_calendar(CalendarKind::Wheel, true, cfg),
-        measure_fig4_small(cfg),
+    let sections = [
+        (
+            format!(
+                "fig4 ttcp end-to-end ({} KiB transfer):",
+                cfg.total_bytes / 1024
+            ),
+            CHAINS.map(Probe::Chain).to_vec(),
+        ),
+        (
+            format!(
+                "redirector multicast hot loop ({} packets x {RD_PAYLOAD} B):",
+                cfg.rd_packets
+            ),
+            CHAINS.map(Probe::Redirector).to_vec(),
+        ),
+        (
+            format!(
+                "event calendar ({} timer fires per churn run):",
+                cfg.cal_fires
+            ),
+            vec![
+                Probe::Churn(ChurnMode::PendingCancel, CalendarKind::Heap),
+                Probe::Churn(ChurnMode::StaleCancel, CalendarKind::Heap),
+                Probe::Churn(ChurnMode::PendingCancel, CalendarKind::Wheel),
+                Probe::Churn(ChurnMode::StaleCancel, CalendarKind::Wheel),
+                Probe::Fig4Calendar(CalendarKind::Heap, false),
+                Probe::Fig4Calendar(CalendarKind::Wheel, false),
+                Probe::Fig4Calendar(CalendarKind::Wheel, true),
+                Probe::Small16,
+            ],
+        ),
     ];
-    print_cal_points(&cal_points);
-    println!("wheel vs heap (same run):");
-    for p in &cal_points {
-        let Some(wheel) = cal_points
+    let mut probes = Vec::new();
+    let mut records = Vec::new();
+    for (title, section) in sections {
+        println!("{title}");
+        let measured: Vec<Record> = section
             .iter()
-            .find(|w| w.name == format!("{}_wheel", p.name))
-        else {
-            continue;
-        };
+            .map(|p| p.measure(cfg).gated(p.gate(ratchet)))
+            .collect();
+        println!("{}", record::render(&measured));
+        probes.extend(
+            section
+                .into_iter()
+                .zip(measured.iter().map(|r| r.name.clone())),
+        );
+        records.extend(measured);
+    }
+    let eps = |name: &str| records.iter().find(|r| r.name == name).map(|r| r.value);
+    if let (Some(off), Some(on)) = (eps("fig4_e2e_wheel"), eps("fig4_e2e_wheel_traced")) {
         println!(
-            "  {}: events/sec x{:.2}",
-            p.name,
-            wheel.events_per_sec / p.events_per_sec
+            "tracing enabled vs disabled (same run): events/sec x{:.2}\n",
+            on / off
         );
     }
-    if let (Some(off), Some(on)) = (
-        cal_points.iter().find(|p| p.name == "fig4_e2e_wheel"),
-        cal_points
-            .iter()
-            .find(|p| p.name == "fig4_e2e_wheel_traced"),
-    ) {
-        println!(
-            "tracing enabled vs disabled (same run): events/sec x{:.2}",
-            on.events_per_sec / off.events_per_sec
-        );
-    }
-    println!("\nmany-flow stack microbench ({MICRO_FLOWS} connections):");
-    let (demux_before, demux_after) = measure_demux_micro(cfg);
-    let (timer_before, timer_after) = measure_timer_micro(cfg);
-    let micro_points = vec![
-        demux_before.clone(),
-        demux_after.clone(),
-        timer_before.clone(),
-        timer_after.clone(),
-    ];
-    print_micro_points(&micro_points);
-    let demux_ratio = demux_after.ops_per_sec / demux_before.ops_per_sec;
-    let timer_ratio = timer_after.ops_per_sec / timer_before.ops_per_sec;
-    println!("  demux: flat map x{demux_ratio:.2} over BTreeMap (pinned >= {DEMUX_MIN_RATIO}x)");
-    println!("  timers: heap x{timer_ratio:.2} over full scan (pinned >= {TIMER_MIN_RATIO}x)");
-    assert!(
-        demux_ratio >= DEMUX_MIN_RATIO,
-        "demux flat map must stay >= {DEMUX_MIN_RATIO}x over BTreeMap at {MICRO_FLOWS} flows, got x{demux_ratio:.2}"
-    );
-    assert!(
-        timer_ratio >= TIMER_MIN_RATIO,
-        "timer heap must stay >= {TIMER_MIN_RATIO}x over full scan at {MICRO_FLOWS} flows, got x{timer_ratio:.2}"
-    );
-    println!("\nper-subsystem event attribution (fig4 chain-2 transfer):");
+    println!("many-flow stack microbench ({MICRO_FLOWS} connections):");
+    let micro = measure_micro(cfg);
+    println!("{}", record::render(&micro));
+    records.extend(micro);
+    println!("per-subsystem event attribution (fig4 chain-2 transfer; n = events):");
     let attribution = measure_attribution(cfg);
-    print_attribution(&attribution);
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!(
-        "\nparallel runner, seed-sweep workload ({} seeds; host has {} cpu(s)):",
-        cfg.runner_seeds, host_cpus
-    );
-    let runner_points = measure_runner(cfg);
-    print_runner_points(&runner_points);
-    let host_speed = measure_host_speed();
+    println!("{}", record::render(&attribution));
+    records.extend(attribution);
+    let host_speed = record::host_speed();
+    records.push(Record::new(
+        BENCH,
+        record::HOST_SPEED,
+        "host",
+        "B/s",
+        host_speed,
+        3,
+    ));
 
     if save_baseline {
-        let path = baseline_path(smoke);
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).expect("create baseline dir");
-        }
-        let doc = run_json(
-            "baseline (pre event-calendar fast path)",
-            cfg,
-            host_speed,
-            &points,
-            &rd_points,
-            &cal_points,
-            &runner_points,
-        );
-        std::fs::write(&path, doc).expect("write baseline");
+        let path = record::baseline_path(BENCH, smoke);
+        std::fs::write(&path, record::to_json(&records)).expect("write baseline");
         println!("baseline written to {}", path.display());
         return;
     }
 
-    // Pair with the recorded baseline (if any) and report ratios.
-    let after = run_json(
-        "after (event-calendar fast path + parallel runner)",
-        cfg,
-        host_speed,
-        &points,
-        &rd_points,
-        &cal_points,
-        &runner_points,
-    );
-    let before = std::fs::read_to_string(baseline_path(smoke)).ok();
-    // Host-speed normalization for the ratchet: a ratio of 0.8 on a host
-    // running at 0.8x the baseline machine's speed is not a regression.
-    let speed_norm = before
-        .as_deref()
-        .and_then(baseline_host_speed)
-        .map(|base| host_speed / base)
-        .filter(|r| r.is_finite() && *r > 0.0)
-        .unwrap_or(1.0);
-    let mut ratchet_failures: Vec<String> = Vec::new();
-    let mut out = String::new();
-    out.push_str("{\n\"bench\": \"perf\",\n\"before\": ");
-    match &before {
-        Some(doc) => out.push_str(doc),
-        None => out.push_str("null"),
-    }
-    out.push_str(",\n\"after\": ");
-    out.push_str(&after);
-    out.push_str(",\n\"improvement\": ");
-    match &before {
-        Some(doc) => {
-            let base = baseline_points(doc);
-            let rd_base = baseline_rd_points(doc);
-            out.push_str("[\n");
-            let mut first = true;
-            println!("vs. baseline:");
-            for p in &points {
-                let Some(&(_, base_eps, base_goodput)) =
-                    base.iter().find(|(c, _, _)| *c == p.chain)
-                else {
-                    continue;
-                };
-                if !first {
-                    out.push_str(",\n");
-                }
-                first = false;
-                let eps_ratio = p.events_per_sec / base_eps;
-                let goodput_ratio = p.goodput_wall_mbps / base_goodput;
-                if ratchet.is_some_and(|min| eps_ratio / speed_norm < min) {
-                    ratchet_failures.push(format!(
-                        "chain {}: events_per_sec_ratio {eps_ratio:.3} \
-                         ({:.3} host-speed-normalized)",
-                        p.chain,
-                        eps_ratio / speed_norm
-                    ));
-                }
-                out.push_str("    {\"chain\": ");
-                push_u64(&mut out, p.chain as u64);
-                out.push_str(", \"events_per_sec_ratio\": ");
-                push_f64(&mut out, eps_ratio);
-                out.push_str(", \"goodput_ratio\": ");
-                push_f64(&mut out, goodput_ratio);
-                print!(
-                    "  chain {}: end-to-end events/sec x{:.2}, wall goodput x{:.2}",
-                    p.chain, eps_ratio, goodput_ratio
-                );
-                if let Some((rp, &(_, base_pps, base_rd_goodput))) = rd_points
-                    .iter()
-                    .find(|r| r.chain == p.chain)
-                    .zip(rd_base.iter().find(|(c, _, _)| *c == p.chain))
-                {
-                    let pps_ratio = rp.packets_per_sec / base_pps;
-                    let rd_goodput_ratio = rp.goodput_wall_mbps / base_rd_goodput;
-                    if ratchet.is_some_and(|min| pps_ratio / speed_norm < min) {
-                        ratchet_failures.push(format!(
-                            "chain {}: redirector_packets_per_sec_ratio {pps_ratio:.3} \
-                             ({:.3} host-speed-normalized)",
-                            p.chain,
-                            pps_ratio / speed_norm
-                        ));
-                    }
-                    out.push_str(", \"redirector_packets_per_sec_ratio\": ");
-                    push_f64(&mut out, pps_ratio);
-                    out.push_str(", \"redirector_goodput_ratio\": ");
-                    push_f64(&mut out, rd_goodput_ratio);
-                    print!(
-                        "; redirector packets/sec x{pps_ratio:.2}, goodput x{rd_goodput_ratio:.2}"
-                    );
-                }
-                out.push('}');
-                println!();
-            }
-            out.push_str("\n  ]");
-        }
-        None => {
-            out.push_str("null");
-            println!(
-                "(no baseline at {} — ratios omitted)",
-                baseline_path(smoke).display()
-            );
-        }
-    }
-    out.push_str(",\n\"calendar_improvement\": ");
-    match &before {
-        Some(doc) => {
-            out.push_str("[\n");
-            for (i, p) in cal_points.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(",\n");
-                }
-                out.push_str("    {\"calendar\": ");
-                push_string(&mut out, &p.name);
-                out.push_str(", \"events_per_sec_ratio\": ");
-                match baseline_cal_eps(doc, &p.name) {
-                    Some(base) => {
-                        let ratio = p.events_per_sec / base;
-                        push_f64(&mut out, ratio);
-                        println!("  calendar {}: events/sec x{ratio:.2}", p.name);
-                        if ratchet.is_some()
-                            && TRACING_OFF_GUARDED.contains(&p.name.as_str())
-                            && ratio / speed_norm < TRACING_OFF_MIN_RATIO
-                        {
-                            ratchet_failures.push(format!(
-                                "calendar {}: tracing-disabled events_per_sec_ratio \
-                                 {ratio:.3} ({:.3} host-speed-normalized) < \
-                                 {TRACING_OFF_MIN_RATIO}",
-                                p.name,
-                                ratio / speed_norm
-                            ));
-                        }
-                        if p.name == "fig4_small16"
-                            && ratchet.is_some_and(|min| ratio / speed_norm < min)
-                        {
-                            ratchet_failures.push(format!(
-                                "calendar fig4_small16: events_per_sec_ratio {ratio:.3} \
-                                 ({:.3} host-speed-normalized)",
-                                ratio / speed_norm
-                            ));
-                        }
-                    }
-                    None => out.push_str("null"),
-                }
-                out.push('}');
-            }
-            out.push_str("\n  ]");
-        }
-        None => out.push_str("null"),
-    }
-    out.push_str(",\n\"runner_improvement\": ");
-    match &before {
-        Some(doc) => {
-            out.push_str("[\n");
-            for (i, p) in runner_points.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(",\n");
-                }
-                out.push_str("    {\"runner_threads\": ");
-                push_u64(&mut out, p.threads as u64);
-                out.push_str(", \"speedup_vs_1\": ");
-                push_f64(&mut out, p.speedup_vs_1);
-                out.push_str(", \"events_per_sec_ratio\": ");
-                match baseline_runner_point(doc, p.threads) {
-                    Some((base_eps, _)) => {
-                        let ratio = p.events_per_sec / base_eps;
-                        push_f64(&mut out, ratio);
-                        println!(
-                            "  runner threads={}: events/sec x{ratio:.2} vs baseline, speedup x{:.2} vs 1 thread",
-                            p.threads, p.speedup_vs_1
-                        );
-                    }
-                    None => out.push_str("null"),
-                }
-                out.push('}');
-            }
-            out.push_str("\n  ]");
-        }
-        None => out.push_str("null"),
-    }
-    out.push_str(",\n\"scale_micro\": [\n");
-    for (i, p) in micro_points.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        push_micro_point(&mut out, p);
-    }
-    out.push_str("\n  ],\n\"scale_micro_ratios\": {\"demux_flat_over_btreemap\": ");
-    push_f64(&mut out, demux_ratio);
-    out.push_str(", \"timer_heap_over_fullscan\": ");
-    push_f64(&mut out, timer_ratio);
-    out.push('}');
-    out.push_str(",\n\"event_attribution\": [\n");
-    let attr_events: u64 = attribution.iter().map(|(_, s)| s.events).sum();
-    let attr_wall: u64 = attribution.iter().map(|(_, s)| s.wall_nanos).sum();
-    for (i, (name, s)) in attribution.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str("    {\"subsystem\": ");
-        push_string(&mut out, name);
-        out.push_str(", \"events\": ");
-        push_u64(&mut out, s.events);
-        out.push_str(", \"events_share\": ");
-        push_f64(&mut out, s.events as f64 / attr_events.max(1) as f64);
-        out.push_str(", \"wall_nanos\": ");
-        push_u64(&mut out, s.wall_nanos);
-        out.push_str(", \"wall_share\": ");
-        push_f64(&mut out, s.wall_nanos as f64 / attr_wall.max(1) as f64);
-        out.push('}');
-    }
-    out.push_str("\n  ],\n\"host_cpus\": ");
-    push_u64(&mut out, host_cpus as u64);
-    out.push_str(",\n\"host_speed_ratio\": ");
-    push_f64(&mut out, speed_norm);
-    out.push_str("\n}\n");
-    std::fs::write("BENCH_perf.json", &out).expect("write BENCH_perf.json");
-    println!("\nwritten to BENCH_perf.json");
+    let baseline = record::read_baseline(BENCH, smoke).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
+    let speed_norm = record::speed_norm(host_speed, &baseline);
+    let mut failures = record::check(&mut records, &baseline, speed_norm);
+    println!("vs. baseline and gates (host speed x{speed_norm:.2} vs baseline):");
+    let paired: Vec<Record> = records
+        .iter()
+        .filter(|r| r.baseline.is_some() || r.gate.is_some())
+        .cloned()
+        .collect();
+    println!("{}", record::render(&paired));
+    std::fs::write("BENCH_perf.json", record::to_json(&records)).expect("write BENCH_perf.json");
+    println!("written to BENCH_perf.json");
 
+    // A wall-clock gate on shared hardware must distinguish a code
+    // regression (persists) from an interference window (does not): under
+    // `--ratchet`, re-measure every gated record that has a probe (the
+    // same-run speedups are re-checked as measured) up to twice, against a
+    // fresh host-speed calibration. BENCH_perf.json keeps the first
+    // measurement either way.
+    for attempt in 1..=2 {
+        if ratchet.is_none() || failures.is_empty() {
+            break;
+        }
+        eprintln!("perf ratchet: re-measuring (retry {attempt}/2) after:");
+        for f in &failures {
+            eprintln!("  {f}");
+        }
+        let speed_norm = record::speed_norm(record::host_speed(), &baseline);
+        let mut again: Vec<Record> = paired
+            .iter()
+            .filter(|r| r.gate.is_some())
+            .map(|r| match probes.iter().find(|(_, name)| *name == r.name) {
+                Some((p, _)) => p.measure(cfg).gated(r.gate),
+                None => r.clone(),
+            })
+            .collect();
+        failures = record::check(&mut again, &baseline, speed_norm);
+    }
+    if !failures.is_empty() {
+        eprintln!("perf gates FAILED:");
+        for f in &failures {
+            eprintln!("  {f}");
+        }
+        std::process::exit(1);
+    }
     if let Some(min) = ratchet {
-        println!("host speed x{speed_norm:.2} vs baseline (ratchet ratios normalized by this)");
-        if before.is_none() {
-            eprintln!("error: --ratchet set but no baseline to ratchet against");
-            std::process::exit(1);
-        }
-        // A wall-clock gate on shared hardware must distinguish a code
-        // regression (persists) from an interference window (does not):
-        // re-measure the gated sections up to twice before failing.
-        // BENCH_perf.json keeps the first measurement either way.
-        if !ratchet_failures.is_empty() {
-            if let Some(doc) = before.as_deref() {
-                let base = baseline_points(doc);
-                let rd_base = baseline_rd_points(doc);
-                let base_speed = baseline_host_speed(doc);
-                for attempt in 1..=2 {
-                    eprintln!(
-                        "perf ratchet: {} ratio(s) below {min}, re-measuring (retry {attempt}/2)",
-                        ratchet_failures.len()
-                    );
-                    ratchet_failures.clear();
-                    let norm = base_speed
-                        .map(|b| measure_host_speed() / b)
-                        .filter(|r| r.is_finite() && *r > 0.0)
-                        .unwrap_or(1.0);
-                    for &chain in CHAINS.iter() {
-                        let p = measure_chain(chain, cfg);
-                        if let Some(&(_, base_eps, _)) = base.iter().find(|(c, _, _)| *c == chain) {
-                            let ratio = p.events_per_sec / base_eps;
-                            if ratio / norm < min {
-                                ratchet_failures.push(format!(
-                                    "chain {chain}: events_per_sec_ratio {ratio:.3} \
-                                     ({:.3} host-speed-normalized)",
-                                    ratio / norm
-                                ));
-                            }
-                        }
-                        let rp = measure_redirector(chain, cfg);
-                        if let Some(&(_, base_pps, _)) =
-                            rd_base.iter().find(|(c, _, _)| *c == chain)
-                        {
-                            let ratio = rp.packets_per_sec / base_pps;
-                            if ratio / norm < min {
-                                ratchet_failures.push(format!(
-                                    "chain {chain}: redirector_packets_per_sec_ratio \
-                                     {ratio:.3} ({:.3} host-speed-normalized)",
-                                    ratio / norm
-                                ));
-                            }
-                        }
-                    }
-                    for kind in [CalendarKind::Heap, CalendarKind::Wheel] {
-                        let p = measure_fig4_calendar(kind, false, cfg);
-                        if let Some(base) = baseline_cal_eps(doc, &p.name) {
-                            let ratio = p.events_per_sec / base;
-                            if ratio / norm < TRACING_OFF_MIN_RATIO {
-                                ratchet_failures.push(format!(
-                                    "calendar {}: tracing-disabled events_per_sec_ratio \
-                                     {ratio:.3} ({:.3} host-speed-normalized) < \
-                                     {TRACING_OFF_MIN_RATIO}",
-                                    p.name,
-                                    ratio / norm
-                                ));
-                            }
-                        }
-                    }
-                    {
-                        let p = measure_fig4_small(cfg);
-                        if let Some(base) = baseline_cal_eps(doc, &p.name) {
-                            let ratio = p.events_per_sec / base;
-                            if ratio / norm < min {
-                                ratchet_failures.push(format!(
-                                    "calendar fig4_small16: events_per_sec_ratio {ratio:.3} \
-                                     ({:.3} host-speed-normalized)",
-                                    ratio / norm
-                                ));
-                            }
-                        }
-                    }
-                    if ratchet_failures.is_empty() {
-                        break;
-                    }
-                }
-            }
-        }
-        if !ratchet_failures.is_empty() {
-            eprintln!("perf ratchet FAILED (threshold {min}):");
-            for f in &ratchet_failures {
-                eprintln!("  {f}");
-            }
-            std::process::exit(1);
-        }
-        println!("perf ratchet passed (all ratios >= {min})");
+        println!("perf ratchet passed (threshold {min})");
     }
 }

@@ -23,24 +23,7 @@ use std::fmt::Write as _;
 use hydranet_bench::sweep::{
     chrome_trace_json, merged_report, run_seed_sweep, total_events, SweepConfig,
 };
-use hydranet_bench::{render_table, RunnerStats};
-use hydranet_obs::Obs;
-
-struct Measurement {
-    threads: usize,
-    stats: RunnerStats,
-    events: u64,
-}
-
-impl Measurement {
-    fn events_per_sec(&self) -> f64 {
-        if self.stats.wall_nanos == 0 {
-            0.0
-        } else {
-            self.events as f64 * 1e9 / self.stats.wall_nanos as f64
-        }
-    }
-}
+use hydranet_bench::{record, run_at_thread_counts};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -77,39 +60,14 @@ fn main() {
         cfg.seeds, cfg.threshold, host_cpus
     );
 
-    let mut measurements: Vec<Measurement> = Vec::new();
-    let mut reference: Option<(Vec<hydranet_bench::sweep::SeedOutcome>, String)> = None;
-    for &threads in &thread_counts {
-        let (outcomes, stats) = run_seed_sweep(&cfg, threads);
-        let events = total_events(&outcomes);
-        let report = merged_report(&cfg, &outcomes);
-        match &reference {
-            None => reference = Some((outcomes, report)),
-            Some((ref_outcomes, ref_report)) => {
-                assert_eq!(
-                    ref_outcomes, &outcomes,
-                    "outcomes diverged between threads={} and threads={threads}",
-                    thread_counts[0]
-                );
-                assert_eq!(
-                    ref_report, &report,
-                    "merged report not byte-identical at threads={threads}"
-                );
-            }
-        }
-        println!(
-            "  threads={threads}: {:.1} ms wall, {:.0} events/sec, utilization {:.2}",
-            stats.wall_nanos as f64 / 1e6,
-            events as f64 * 1e9 / stats.wall_nanos.max(1) as f64,
-            stats.utilization()
-        );
-        measurements.push(Measurement {
-            threads,
-            stats,
-            events,
-        });
-    }
-    let (outcomes, report) = reference.expect("at least one thread count");
+    let runs = run_at_thread_counts(
+        "sweep",
+        &thread_counts,
+        |threads| run_seed_sweep(&cfg, threads),
+        total_events,
+        |o| merged_report(&cfg, o),
+    );
+    let (outcomes, report) = (&runs.outcomes, &runs.report);
 
     // Distribution summary table from the deterministic outcomes.
     let detected: Vec<u64> = outcomes
@@ -158,55 +116,15 @@ fn main() {
             .collect::<Vec<_>>(),
     );
 
-    // Speedup table (wall-clock; honest about the host).
-    let base_wall = measurements[0].stats.wall_nanos.max(1) as f64;
-    let header: Vec<String> = ["threads", "wall ms", "events/sec", "speedup", "util"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    let rows: Vec<Vec<String>> = measurements
-        .iter()
-        .map(|m| {
-            vec![
-                m.threads.to_string(),
-                format!("{:.1}", m.stats.wall_nanos as f64 / 1e6),
-                format!("{:.0}", m.events_per_sec()),
-                format!("{:.2}x", base_wall / m.stats.wall_nanos.max(1) as f64),
-                format!("{:.2}", m.stats.utilization()),
-            ]
-        })
-        .collect();
-    println!();
-    println!("{}", render_table(&header, &rows));
-
-    // Engine telemetry through the obs registry (runner.* metrics).
-    let obs = Obs::enabled();
-    if let Some(last) = measurements.last() {
-        last.stats.publish(&obs, last.events);
-    }
+    // Thread-count timing (wall-clock; honest about the host).
+    println!("\n{}", record::render(&runs.timing));
 
     let mut json = String::with_capacity(report.len() + 4096);
     json.push_str("{\n\"bench\": \"seed_sweep\",\n");
-    let _ = write!(json, "\"host_cpus\": {host_cpus},\n\"timing\": [\n");
-    for (i, m) in measurements.iter().enumerate() {
-        if i > 0 {
-            json.push_str(",\n");
-        }
-        let _ = write!(
-            json,
-            "  {{\"threads\": {}, \"wall_nanos\": {}, \"worker_busy_nanos\": {}, \"tasks\": {}, \"events\": {}, \"events_per_sec\": {:.1}, \"speedup_vs_1\": {:.3}, \"utilization\": {:.3}}}",
-            m.threads,
-            m.stats.wall_nanos,
-            m.stats.worker_busy_nanos,
-            m.stats.tasks_completed,
-            m.events,
-            m.events_per_sec(),
-            base_wall / m.stats.wall_nanos.max(1) as f64,
-            m.stats.utilization()
-        );
-    }
-    json.push_str("\n],\n\"runner_telemetry\": ");
-    json.push_str(obs.to_json().trim_end());
+    let _ = write!(json, "\"host_cpus\": {host_cpus},\n\"records\": ");
+    json.push_str(record::to_json(&runs.timing).trim_end());
+    json.push_str(",\n\"runner_telemetry\": ");
+    json.push_str(runs.telemetry.to_json().trim_end());
     json.push_str(",\n\"report\": ");
     json.push_str(report.trim_end());
     json.push_str("\n}\n");

@@ -16,9 +16,13 @@
 //!   redirectors, reporting events/sec, per-flow memory, and completion
 //!   tail latency.
 //!
+//! - [`record`] — the one record type every wall-clock number of the `perf`,
+//!   `scale`, `sweep` and `chaos` binaries is written, read back and gated
+//!   as.
+//!
 //! Binaries (`fig4`, `detector_sweep`, `failover_latency`, `chain_scaling`,
-//! `ackchan_loss`) print paper-style tables; the Criterion benches wrap the
-//! same scenarios.
+//! `ackchan_loss`) print paper-style tables; `perf`, `scale`, `sweep` and
+//! `chaos` time the simulator itself and write `BENCH_*.json`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -26,11 +30,12 @@
 pub mod ablations;
 pub mod chaos;
 pub mod fig4;
+pub mod record;
 pub mod runner;
 pub mod scale;
 pub mod sweep;
 
-pub use runner::{run_tasks, RunnerStats, Task};
+pub use runner::{run_at_thread_counts, run_tasks, RunnerStats, Task};
 
 /// Renders a simple aligned table: a header row then data rows.
 pub fn render_table(header: &[String], rows: &[Vec<String>]) -> String {

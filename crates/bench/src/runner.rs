@@ -24,12 +24,20 @@
 //! The pool reports [`RunnerStats`] (tasks completed, per-worker busy time,
 //! wall-clock) which can be published into an [`Obs`] registry via
 //! [`RunnerStats::publish`] under the `runner.*` metric names.
+//!
+//! [`run_at_thread_counts`] is the one thread-count driver the `scale`,
+//! `sweep` and `chaos` binaries share: it runs a workload at each thread
+//! count, asserts the results identical, and returns the timing as
+//! [`Record`]s.
 
+use std::fmt::Debug;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use hydranet_obs::Obs;
+
+use crate::record::Record;
 
 /// One unit of parallel work: a labelled, seeded, self-contained simulation
 /// run. The closure owns everything it needs (configs are cloned in) and
@@ -217,6 +225,101 @@ pub fn run_tasks<R: Send>(tasks: Vec<Task<R>>, threads: usize) -> (Vec<R>, Runne
     (results, stats)
 }
 
+/// A workload run by [`run_at_thread_counts`].
+#[derive(Debug)]
+pub struct ThreadRuns<O> {
+    /// The outcomes, identical at every thread count.
+    pub outcomes: Vec<O>,
+    /// The merged report, byte-identical at every thread count.
+    pub report: String,
+    /// Per thread count `N`: `threads=N` (events/sec), `threads=N speedup`
+    /// (wall time of the first count over this one) and
+    /// `threads=N utilization`.
+    pub timing: Vec<Record>,
+    /// Engine telemetry (`runner.*` metrics) of the last thread count.
+    pub telemetry: Obs,
+}
+
+/// Runs `run(threads)` once per entry of `thread_counts` and asserts that
+/// the outcomes and the merged `report` of every run are identical to the
+/// first — the engine's determinism contract. Prints one progress line per
+/// run and returns the outcomes, the report and the timing as records of
+/// `bench`.
+///
+/// # Panics
+///
+/// If `thread_counts` is empty, or a run's outcomes or report differ from
+/// the first run's.
+pub fn run_at_thread_counts<O: PartialEq + Debug>(
+    bench: &str,
+    thread_counts: &[usize],
+    mut run: impl FnMut(usize) -> (Vec<O>, RunnerStats),
+    events: impl Fn(&[O]) -> u64,
+    report: impl Fn(&[O]) -> String,
+) -> ThreadRuns<O> {
+    let mut reference: Option<(Vec<O>, String)> = None;
+    let mut timing = Vec::new();
+    let mut base_wall = None;
+    let mut last = None;
+    for &threads in thread_counts {
+        let (outcomes, stats) = run(threads);
+        let merged = report(&outcomes);
+        let events = events(&outcomes);
+        match &reference {
+            None => reference = Some((outcomes, merged)),
+            Some((ref_outcomes, ref_report)) => {
+                assert_eq!(
+                    ref_outcomes, &outcomes,
+                    "outcomes diverged between threads={} and threads={threads}",
+                    thread_counts[0]
+                );
+                assert_eq!(
+                    ref_report, &merged,
+                    "merged report not byte-identical at threads={threads}"
+                );
+            }
+        }
+        let wall = stats.wall_nanos.max(1) as f64;
+        let eps = events as f64 * 1e9 / wall;
+        println!(
+            "  threads={threads}: {:.1} ms wall, {eps:.0} events/sec, utilization {:.2}",
+            wall / 1e6,
+            stats.utilization()
+        );
+        let base = *base_wall.get_or_insert(wall);
+        let name = format!("threads={threads}");
+        timing.push(Record::new(bench, &name, "runner", "events/s", eps, 1));
+        timing.push(Record::new(
+            bench,
+            format!("{name} speedup"),
+            "runner",
+            "x",
+            base / wall,
+            1,
+        ));
+        timing.push(Record::new(
+            bench,
+            format!("{name} utilization"),
+            "runner",
+            "ratio",
+            stats.utilization(),
+            1,
+        ));
+        last = Some((stats, events));
+    }
+    let (outcomes, report) = reference.expect("at least one thread count");
+    let telemetry = Obs::enabled();
+    if let Some((stats, events)) = last {
+        stats.publish(&telemetry, events);
+    }
+    ThreadRuns {
+        outcomes,
+        report,
+        timing,
+        telemetry,
+    }
+}
+
 fn elapsed_nanos(t: &Instant) -> u64 {
     u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
@@ -293,6 +396,44 @@ mod tests {
         );
         assert!(stats.utilization() <= 1.0 + f64::EPSILON);
         assert!(stats.wall_nanos > 0);
+    }
+
+    #[test]
+    fn thread_count_driver_returns_timing_records() {
+        let runs = run_at_thread_counts(
+            "t",
+            &[1, 3],
+            |threads| run_tasks(squares(6), threads),
+            |o| o.iter().sum(),
+            |o| format!("{o:?}"),
+        );
+        assert_eq!(runs.outcomes, vec![0, 1, 4, 9, 16, 25]);
+        let names: Vec<&str> = runs.timing.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "threads=1",
+                "threads=1 speedup",
+                "threads=1 utilization",
+                "threads=3",
+                "threads=3 speedup",
+                "threads=3 utilization",
+            ]
+        );
+        assert_eq!(runs.timing[1].value, 1.0);
+        assert!(runs.telemetry.to_json().contains("\"runner.threads\": 3"));
+    }
+
+    #[test]
+    #[should_panic(expected = "outcomes diverged")]
+    fn thread_count_driver_rejects_diverging_outcomes() {
+        run_at_thread_counts(
+            "t",
+            &[1, 2],
+            |threads| run_tasks(squares(threads as u64), threads),
+            |_| 0,
+            |_| String::new(),
+        );
     }
 
     #[test]

@@ -664,7 +664,6 @@ impl System {
             ("scenario", scenario.to_string()),
             ("sim_now_nanos", self.sim.now().as_nanos().to_string()),
             ("events_processed", stats.events_processed.to_string()),
-            ("trace_dropped", stats.trace_dropped.to_string()),
             (
                 "flight_recorder_evicted",
                 self.obs.trace_evicted().to_string(),

@@ -206,7 +206,7 @@ impl MgmtMsg {
                 service: r.sockaddr()?,
                 index: r.u32()?,
                 predecessor: r.opt_addr()?,
-                has_successor: r.u8()? != 0,
+                has_successor: r.flag()?,
             },
             5 => MgmtMsg::Probe { nonce: r.u64()? },
             6 => MgmtMsg::ProbeAck { nonce: r.u64()? },
@@ -275,18 +275,27 @@ impl Envelope {
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] on truncation or unknown tags.
+    /// Returns a [`WireError`] on truncation, unknown tags, a flag or
+    /// presence byte other than 0 or 1, or trailing bytes — so every
+    /// accepted datagram re-encodes to exactly its input.
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
         let mut r = Reader::new(bytes);
-        match r.u8()? {
-            0xE0 => Ok(Envelope::Payload {
+        let env = match r.u8()? {
+            0xE0 => Envelope::Payload {
                 id: r.u64()?,
-                needs_ack: r.u8()? != 0,
+                needs_ack: r.flag()?,
                 msg: MgmtMsg::read(&mut r)?,
-            }),
-            0xE1 => Ok(Envelope::Ack { of: r.u64()? }),
-            _ => Err(WireError { at: 0 }),
+            },
+            0xE1 => Envelope::Ack { of: r.u64()? },
+            _ => return Err(WireError { at: 0 }),
+        };
+        if !r.is_exhausted() {
+            // The trailing bytes start where the well-formed frame ends.
+            return Err(WireError {
+                at: env.encode().len(),
+            });
         }
+        Ok(env)
     }
 }
 
@@ -394,5 +403,36 @@ mod tests {
         let mut w = Writer::new();
         w.u8(0xE0).u64(5).u8(1).u8(99);
         assert!(Envelope::decode(&w.into_bytes()).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_non_canonical_bytes() {
+        let set_role = Envelope::Payload {
+            id: 1,
+            needs_ack: true,
+            msg: MgmtMsg::SetRole {
+                service: service(),
+                index: 1,
+                predecessor: Some(IpAddr::new(10, 0, 2, 1)),
+                has_successor: true,
+            },
+        }
+        .encode();
+        // Offsets: tag 0, id 1..9, needs_ack 9, msg tag 10, service 11..17,
+        // index 17..21, presence 21, predecessor 22..26, has_successor 26.
+        for at in [9, 21, 26] {
+            let mut bytes = set_role.clone();
+            bytes[at] = 2;
+            assert_eq!(Envelope::decode(&bytes), Err(WireError { at }), "byte {at}");
+        }
+        for env in [set_role, Envelope::Ack { of: 3 }.encode()] {
+            let mut bytes = env.clone();
+            bytes.push(0);
+            assert_eq!(
+                Envelope::decode(&bytes),
+                Err(WireError { at: env.len() }),
+                "trailing byte"
+            );
+        }
     }
 }

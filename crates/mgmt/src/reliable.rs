@@ -23,6 +23,8 @@ pub struct ReliableEndpoint {
     seen_ttl: SimDuration,
     /// Reliable sends abandoned after `max_attempts` (diagnostics).
     abandoned: u64,
+    /// Datagrams dropped because they failed to decode.
+    malformed: u64,
 }
 
 #[derive(Debug)]
@@ -69,6 +71,7 @@ impl ReliableEndpoint {
             seen: HashMap::new(),
             seen_ttl: SimDuration::from_secs(120),
             abandoned: 0,
+            malformed: 0,
         }
     }
 
@@ -118,6 +121,7 @@ impl ReliableEndpoint {
     ) -> (Option<MgmtMsg>, Vec<Outgoing>) {
         self.gc_seen(now);
         let Ok(env) = Envelope::decode(bytes) else {
+            self.malformed += 1;
             return (None, Vec::new());
         };
         match env {
@@ -172,6 +176,11 @@ impl ReliableEndpoint {
     /// Reliable sends dropped after exhausting attempts.
     pub fn abandoned(&self) -> u64 {
         self.abandoned
+    }
+
+    /// Incoming datagrams dropped because they failed to decode.
+    pub fn malformed(&self) -> u64 {
+        self.malformed
     }
 
     fn gc_seen(&mut self, now: SimTime) {
@@ -280,6 +289,20 @@ mod tests {
         let (msg, acks) = ep.on_datagram(PEER, &[1, 2, 3], SimTime::ZERO);
         assert!(msg.is_none());
         assert!(acks.is_empty());
+        assert_eq!(ep.malformed(), 1);
+        // A well-formed payload with one trailing byte is rejected too,
+        // and not acked.
+        let mut bytes = Envelope::Payload {
+            id: 9,
+            needs_ack: true,
+            msg: probe(9),
+        }
+        .encode();
+        bytes.push(0);
+        let (msg, acks) = ep.on_datagram(PEER, &bytes, SimTime::ZERO);
+        assert!(msg.is_none());
+        assert!(acks.is_empty());
+        assert_eq!(ep.malformed(), 2);
     }
 
     #[test]

@@ -135,16 +135,26 @@ impl<'a> Reader<'a> {
         Ok(SockAddr::new(self.addr()?, self.u16()?))
     }
 
-    /// Reads an optional address.
-    pub fn opt_addr(&mut self) -> Result<Option<IpAddr>, WireError> {
+    /// Reads a boolean flag byte; only 0 and 1 are accepted, so a decoded
+    /// flag re-encodes to the byte it came from.
+    pub fn flag(&mut self) -> Result<bool, WireError> {
         match self.u8()? {
-            0 => Ok(None),
-            _ => Ok(Some(self.addr()?)),
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(WireError { at: self.pos - 1 }),
         }
     }
 
+    /// Reads an optional address (presence byte 0 or 1, as for [`flag`](Self::flag)).
+    pub fn opt_addr(&mut self) -> Result<Option<IpAddr>, WireError> {
+        Ok(if self.flag()? {
+            Some(self.addr()?)
+        } else {
+            None
+        })
+    }
+
     /// Whether all bytes have been consumed.
-    #[allow(dead_code)] // exercised in tests; part of the wire API surface
     pub fn is_exhausted(&self) -> bool {
         self.pos == self.buf.len()
     }

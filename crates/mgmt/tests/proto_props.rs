@@ -6,8 +6,10 @@ use std::collections::BTreeSet;
 
 use hydranet_mgmt::chain::assignments;
 use hydranet_mgmt::proto::{Envelope, MgmtMsg};
+use hydranet_mgmt::reliable::ReliableEndpoint;
 use hydranet_netsim::packet::IpAddr;
 use hydranet_netsim::rng::SimRng;
+use hydranet_netsim::time::SimTime;
 use hydranet_tcp::segment::SockAddr;
 
 fn arb_addr(rng: &mut SimRng) -> IpAddr {
@@ -18,8 +20,12 @@ fn arb_sockaddr(rng: &mut SimRng) -> SockAddr {
     SockAddr::new(arb_addr(rng), rng.next_u64() as u16)
 }
 
+fn arb_chain(rng: &mut SimRng) -> Vec<IpAddr> {
+    (0..rng.range(0, 5)).map(|_| arb_addr(rng)).collect()
+}
+
 fn arb_msg(rng: &mut SimRng) -> MgmtMsg {
-    match rng.range(0, 6) {
+    match rng.range(0, 9) {
         0 => MgmtMsg::RegisterReplica {
             service: arb_sockaddr(rng),
             host: arb_addr(rng),
@@ -46,9 +52,38 @@ fn arb_msg(rng: &mut SimRng) -> MgmtMsg {
         4 => MgmtMsg::Probe {
             nonce: rng.next_u64(),
         },
-        _ => MgmtMsg::ProbeAck {
+        5 => MgmtMsg::ProbeAck {
             nonce: rng.next_u64(),
         },
+        6 => MgmtMsg::TableReplicate {
+            term: rng.next_u64() as u32,
+            seq: rng.next_u64(),
+            service: arb_sockaddr(rng),
+            chain: arb_chain(rng),
+        },
+        7 => MgmtMsg::TableSnapshot {
+            term: rng.next_u64() as u32,
+            seq: rng.next_u64(),
+            entries: (0..rng.range(0, 4))
+                .map(|_| (arb_sockaddr(rng), arb_chain(rng)))
+                .collect(),
+        },
+        _ => MgmtMsg::EpochReject {
+            term: rng.next_u64() as u32,
+            seq: rng.next_u64(),
+        },
+    }
+}
+
+fn arb_envelope(rng: &mut SimRng) -> Envelope {
+    if rng.chance(0.1) {
+        Envelope::Ack { of: rng.next_u64() }
+    } else {
+        Envelope::Payload {
+            id: rng.next_u64(),
+            needs_ack: rng.chance(0.5),
+            msg: arb_msg(rng),
+        }
     }
 }
 
@@ -85,6 +120,57 @@ fn decode_never_panics() {
         let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
         let _ = Envelope::decode(&bytes);
     }
+}
+
+/// Malformed datagrams: valid envelopes with a random byte overwritten,
+/// trailing bytes appended, or a truncated tail, plus random bytes. Decoding
+/// never panics, every accepted frame re-encodes to exactly its input (so a
+/// non-0/1 flag or presence byte and trailing bytes are rejected), and the
+/// reliable endpoint counts each rejected frame as malformed without
+/// delivering or acking it.
+#[test]
+fn malformed_frames_are_rejected_and_counted() {
+    let mut rng = SimRng::seed_from(6);
+    let mut ep = ReliableEndpoint::new();
+    let (mut accepted, mut rejected) = (0u64, 0u64);
+    for i in 0..12_000u64 {
+        let mut bytes = arb_envelope(&mut rng).encode();
+        match rng.range(0, 4) {
+            0 => {
+                let at = rng.range(0, bytes.len() as u64) as usize;
+                bytes[at] = rng.next_u64() as u8;
+            }
+            1 => {
+                for _ in 0..rng.range(1, 4) {
+                    bytes.push(rng.next_u64() as u8);
+                }
+            }
+            2 => bytes.truncate(rng.range(0, bytes.len() as u64) as usize),
+            _ => {
+                let len = rng.range(0, 48) as usize;
+                bytes = (0..len).map(|_| rng.next_u64() as u8).collect();
+            }
+        }
+        let peer = IpAddr::from_bits(i as u32);
+        let (msg, acks) = ep.on_datagram(peer, &bytes, SimTime::ZERO);
+        match Envelope::decode(&bytes) {
+            Ok(env) => {
+                accepted += 1;
+                assert_eq!(env.encode(), bytes, "accepted frame {i} does not re-encode");
+            }
+            Err(_) => {
+                rejected += 1;
+                assert!(msg.is_none() && acks.is_empty(), "frame {i} acted on");
+            }
+        }
+        assert_eq!(ep.malformed(), rejected, "frame {i}");
+    }
+    // Both outcomes are exercised: overwrites that keep a valid value
+    // (an id or nonce byte) are accepted.
+    assert!(
+        accepted > 1_000 && rejected > 5_000,
+        "{accepted} / {rejected}"
+    );
 }
 
 /// Truncating a valid envelope anywhere yields an error, not garbage.

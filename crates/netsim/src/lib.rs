@@ -72,7 +72,6 @@ pub mod sim;
 pub mod stats;
 pub mod time;
 pub mod topology;
-pub mod trace;
 pub mod wheel;
 
 /// Convenient glob-import of the types most simulations need.

@@ -20,7 +20,6 @@ use crate::profile::{EventCategory, EventProfiler};
 use crate::rng::SimRng;
 use crate::stats::{LinkStats, NodeStats, SimStats};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{Trace, TracePoint};
 use crate::wheel::CalendarKind;
 
 pub(crate) struct NodeSlot {
@@ -91,7 +90,6 @@ pub struct Simulator {
     pub(crate) links: Vec<Link>,
     rng: SimRng,
     stats: SimStats,
-    trace: Trace,
     profiler: EventProfiler,
     obs: Obs,
     actions_scratch: Vec<Action>,
@@ -120,7 +118,6 @@ impl Simulator {
             links,
             rng: SimRng::seed_from(seed),
             stats: SimStats::default(),
-            trace: Trace::default(),
             profiler: EventProfiler::default(),
             obs: Obs::disabled(),
             actions_scratch: Vec::new(),
@@ -147,11 +144,9 @@ impl Simulator {
         self.links.len()
     }
 
-    /// Whole-run counters (trace-ring evictions folded in).
+    /// Whole-run counters.
     pub fn stats(&self) -> SimStats {
-        let mut stats = self.stats;
-        stats.trace_dropped = self.trace.dropped();
-        stats
+        self.stats
     }
 
     /// Wires telemetry: fault-injection transitions (node crash/recover,
@@ -178,11 +173,6 @@ impl Simulator {
         self.events.set_obs(&self.obs);
     }
 
-    /// The trace buffer (enable with [`Trace::set_enabled`]).
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
-    }
-
     /// The event-attribution profiler (enable, mark redirectors, and set
     /// the ack-channel port through [`EventProfiler`]'s methods).
     pub fn profiler_mut(&mut self) -> &mut EventProfiler {
@@ -192,11 +182,6 @@ impl Simulator {
     /// The event-attribution profiler, read-only.
     pub fn profiler(&self) -> &EventProfiler {
         &self.profiler
-    }
-
-    /// The trace buffer, read-only.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// Processes events until the calendar is exhausted or `limit` events
@@ -477,12 +462,8 @@ impl Simulator {
             } => {
                 let slot = &self.nodes[node.index()];
                 if slot.crashed || slot.epoch != epoch {
-                    self.trace
-                        .record_with(self.now, TracePoint::CrashDrop(node), || summarize(&packet));
                     return;
                 }
-                self.trace
-                    .record_with(self.now, TracePoint::Dispatch(node), || summarize(&packet));
                 self.dispatch(node, |n, ctx| n.on_packet(ctx, IfaceId(iface), packet));
             }
             EventKind::LinkDequeue { link, dir, epoch } => {
@@ -651,10 +632,6 @@ impl Simulator {
         let link = &mut self.links[link_id.index()];
         if !link.up {
             link.dirs[dir.index()].stats.dropped_down += 1;
-            self.trace
-                .record_with(self.now, TracePoint::LinkDrop(link_id), || {
-                    summarize(&packet)
-                });
             return;
         }
         let fragments = match fragment_packet(packet, link.params.mtu) {
@@ -669,13 +646,9 @@ impl Simulator {
             let state = &mut link.dirs[dir.index()];
             if state.queue.len() >= limit {
                 state.stats.dropped_queue += 1;
-                self.trace
-                    .record_with(self.now, TracePoint::LinkDrop(link_id), || summarize(&frag));
                 continue;
             }
             state.stats.enqueued += 1;
-            self.trace
-                .record_with(self.now, TracePoint::Enqueue(link_id), || summarize(&frag));
             state.queue.push_back(frag);
             if !state.transmitting {
                 state.transmitting = true;
@@ -720,10 +693,6 @@ impl Simulator {
         let lost = link.draw_loss(dir, &mut self.rng);
         if lost {
             link.dirs[dir.index()].stats.dropped_loss += 1;
-            self.trace
-                .record_with(self.now, TracePoint::LinkDrop(link_id), || {
-                    summarize(&packet)
-                });
             return;
         }
         {
@@ -800,12 +769,8 @@ impl Simulator {
         let slot = &mut self.nodes[node.index()];
         if slot.crashed {
             slot.stats.dropped_crashed += 1;
-            self.trace
-                .record_with(self.now, TracePoint::CrashDrop(node), || summarize(&packet));
             return;
         }
-        self.trace
-            .record_with(self.now, TracePoint::Arrival(node), || summarize(&packet));
         let cost = slot.params.cost_for(packet.total_len());
         let start = self.now.max(slot.cpu_free_at);
         let done = start.saturating_add(cost);
@@ -835,16 +800,6 @@ fn draw_jitter(rng: &mut SimRng, p: f64, jitter_nanos: u64) -> Option<SimDuratio
     } else {
         None
     }
-}
-
-fn summarize(packet: &IpPacket) -> String {
-    format!(
-        "{} -> {} {} {}B",
-        packet.src(),
-        packet.dst(),
-        packet.protocol(),
-        packet.total_len()
-    )
 }
 
 #[cfg(test)]

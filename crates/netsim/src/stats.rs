@@ -54,9 +54,6 @@ pub struct SimStats {
     pub timers_fired: u64,
     /// Timers that were cancelled before firing.
     pub timers_cancelled: u64,
-    /// Packet-trace entries evicted from the trace ring to make room for
-    /// newer ones (0 when tracing is off or the ring never filled).
-    pub trace_dropped: u64,
 }
 
 #[cfg(test)]

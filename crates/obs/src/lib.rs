@@ -294,7 +294,7 @@ impl Obs {
     }
 
     /// Spans evicted from the flight-recorder ring so far (the cap-and-
-    /// evict counter surfaced next to `SimStats::trace_dropped`).
+    /// evict counter surfaced in `System::telemetry_json`).
     pub fn trace_evicted(&self) -> u64 {
         self.with_trace(0, trace::TraceData::evicted)
     }
